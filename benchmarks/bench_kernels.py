@@ -120,14 +120,15 @@ def bench_kernel_glue(benchmark):
 # machine-readable before/after record (repo-root BENCH_kernels.json)
 # ---------------------------------------------------------------------------
 
-#: kernel and end-to-end timings of this exact harness measured before
-#: the compute-stage hot-path overhaul (min over reps on the same
-#: single-core host; see ``harness`` in the emitted JSON)
+#: kernel and end-to-end timings of this exact harness measured on the
+#: commit before the array-pass gradient kernel (per-cell greedy sweep),
+#: on the host the emitted JSON records (2 cores, Python 3.11.7); min
+#: over reps, see ``harness`` in the emitted JSON
 PRE_PR_BASELINE = {
-    "complex_build_s": 0.048314171000129136,
-    "gradient_s": 0.0973293819997707,
-    "trace_s": 0.24593847100004496,
-    "pool_nosimp_wall_s": 0.5715092420000474,
+    "complex_build_s": 0.05081246699955955,
+    "gradient_s": 0.10400729200046044,
+    "trace_s": 0.0930835390008724,
+    "pool_nosimp_wall_s": 0.2256173099995067,
 }
 
 #: the end-to-end harness: the 24^3 bumps field in 8 blocks on a
@@ -241,7 +242,8 @@ def collect_before_after(
             "e2e_reps": e2e_reps,
         },
         "host": {
-            "cores": os.cpu_count(),
+            "cores": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": sys.version.split()[0],
         },
         "before": before,

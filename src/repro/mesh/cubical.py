@@ -23,11 +23,11 @@ Structure-table memoization
 Everything about the complex that depends only on the block's *shape* —
 celltype and dimension per padded cell, the valid-cell mask, the
 facet/cofacet flat-offset tables, the padded-layout scatter indices, and
-the per-celltype candidate tables the gradient and tracing kernels walk
-— is factored into :class:`MeshStructureTables` and memoized per
-``padded_shape`` in a module-level LRU cache.  A worker process
-computing many same-shaped blocks builds these tables once, not once
-per block; per-*block* data (vertex values, cell values, global
+the per-celltype candidate tables the gradient passes gather from and
+the tracing kernels walk — is factored into :class:`MeshStructureTables`
+and memoized per ``padded_shape`` in a module-level LRU cache.  A worker
+process computing many same-shaped blocks builds these tables once, not
+once per block; per-*block* data (vertex values, cell values, global
 addresses, boundary signatures, SoS ranks) is never cached.  The cached
 arrays are marked read-only and shared by reference, so cache reuse
 cannot change a single output bit (asserted by the test suite).
@@ -94,14 +94,18 @@ class MeshStructureTables:
     cofacet_offsets: tuple[tuple[int, ...], ...]
     #: flat offset per direction code 0..5 (+x, -x, +y, -y, +z, -z)
     dir_offsets: tuple[int, int, int, int, int, int]
-    #: gradient-sweep candidates per celltype: for each cofacet of a
-    #: t-cell, ``(offset, code_tail, code_head, other_facet_offsets)``
-    #: where the codes are the direction codes of the tail->head and
-    #: head->tail arrows and ``other_facet_offsets`` are the cofacet's
-    #: facet offsets excluding the one leading back to the tail
-    pair_candidates: tuple[
-        tuple[tuple[int, int, int, tuple[int, ...]], ...], ...
-    ]
+    #: gradient-pass candidate tables, one per cell dimension ``d``,
+    #: with celltype as the last axis (columns of other dimensions are
+    #: unused zeros): ``pair_offsets[d][k, t]`` is the flat offset of
+    #: the k-th cofacet of a t-cell, shape ``(2 * (3 - d), 8)``;
+    #: ``pair_codes[d][k, t]`` the direction code of that tail->head
+    #: arrow (the head->tail code is ``code ^ 1``); and
+    #: ``pair_others[d][j, k, t]`` the cofacet's facet offsets other
+    #: than the one leading back to the tail, shape
+    #: ``(2 * d + 1, 2 * (3 - d), 8)``
+    pair_offsets: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    pair_codes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    pair_others: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     #: V-path continuation table: ``trace_facets[t][code]`` lists the
     #: facet offsets of a t-cell excluding ``dir_offsets[code ^ 1]`` —
     #: the facet a descending trace arrived through when the arriving
@@ -163,19 +167,28 @@ def build_structure_tables(
     dir_offsets = (sx, -sx, sy, -sy, sz, -sz)
     code_of_offset = {off: code for code, off in enumerate(dir_offsets)}
 
-    pair_candidates = []
-    for t in range(8):
-        cands = []
-        for off in cofacet_offsets[t]:
-            head_type = int(
-                t | (1 << [abs(off) == s for s in steps].index(True))
-            )
-            others = tuple(
-                foff for foff in facet_offsets[head_type] if foff != -off
-            )
-            fwd = code_of_offset[off]
-            cands.append((off, fwd, fwd ^ 1, others))
-        pair_candidates.append(tuple(cands))
+    pair_offsets = []
+    pair_codes = []
+    pair_others = []
+    for d in range(4):
+        n_cof = 2 * (3 - d)
+        offs = np.zeros((n_cof, 8), dtype=np.int64)
+        codes = np.zeros((n_cof, 8), dtype=np.uint8)
+        others = np.zeros((2 * d + 1, n_cof, 8), dtype=np.int64)
+        for t in range(8):
+            if _POPCOUNT3[t] != d:
+                continue
+            for k, off in enumerate(cofacet_offsets[t]):
+                axis = [abs(off) == s for s in steps].index(True)
+                head_type = t | (1 << axis)
+                offs[k, t] = off
+                codes[k, t] = code_of_offset[off]
+                others[:, k, t] = [
+                    foff for foff in facet_offsets[head_type] if foff != -off
+                ]
+        pair_offsets.append(offs)
+        pair_codes.append(codes)
+        pair_others.append(others)
 
     trace_facets = tuple(
         tuple(
@@ -193,7 +206,8 @@ def build_structure_tables(
         np.flatnonzero(valid & (cell_dim == d)) for d in range(4)
     )
 
-    for arr in (celltype, cell_dim, valid, interior_index, *cells_of_dim):
+    for arr in (celltype, cell_dim, valid, interior_index, *cells_of_dim,
+                *pair_offsets, *pair_codes, *pair_others):
         arr.setflags(write=False)
 
     return MeshStructureTables(
@@ -209,7 +223,9 @@ def build_structure_tables(
         facet_offsets=facet_offsets,
         cofacet_offsets=cofacet_offsets,
         dir_offsets=dir_offsets,
-        pair_candidates=tuple(pair_candidates),
+        pair_offsets=tuple(pair_offsets),
+        pair_codes=tuple(pair_codes),
+        pair_others=tuple(pair_others),
         trace_facets=trace_facets,
         cells_of_dim=cells_of_dim,
     )

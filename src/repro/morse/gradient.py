@@ -24,24 +24,46 @@ depends only on global cell addresses and vertex values, two blocks
 sharing a face compute bit-identical gradient arrows on it — the property
 that anchors the gluing step of the merge stage (§IV-F3).
 
+Pass formulation
+----------------
+The sweep visits cells in *passes*: one pass per (signature popcount,
+dimension) group, so there are at most 16.  Each pass is one array
+program over the ``assigned`` state at its start; no per-cell loop runs.
+
+Take a pass and a cell ``a`` of it that is unassigned when the pass
+starts (pass cells have one dimension ``d``, and a d-cell can only be
+claimed by a (d-1)-cell of an earlier pass, so this is also its state at
+its own turn).  At ``a``'s turn in the greedy order, ``a`` may pair with
+a cofacet ``b`` exactly when
+
+- ``b`` is unassigned at the start of the pass,
+- ``sig[b] == sig[a]``, and
+- every other facet of ``b`` is assigned at the start of the pass or is
+  a member of this pass that comes before ``a`` in sweep order.
+
+The last condition holds because every cell of a finished pass is
+assigned, and a facet of ``b`` carries ``b``'s signature bits, so it lies
+in this pass or in an earlier one.  No two cells of a pass compete: if
+an earlier cell ``a'`` claimed ``b``, every other facet of ``b`` —
+``a`` among them — was assigned at ``a'``'s turn, but ``a`` is
+unassigned until its own turn.  So each cell's candidates depend only on
+the state at the start of the pass, and each cell takes the candidate of
+lowest SoS rank, as the loop does.  The kernel writes the facet test as
+``tick[f] < tick[a]``, where ``tick`` holds each unassigned cell's sweep
+position and -1 for assigned cells; a pass member after ``a`` and any
+unassigned cell of a later pass have a larger tick.  Dimension-3 passes
+have no cofacets, so every cell they still hold becomes critical.
+
 Acyclicity
 ----------
-A cell is paired with a co-facet only when every *other* facet of that
-co-facet is already assigned, so the assignment times strictly decrease
-along any V-path; hence no V-path can revisit a cell and the constructed
+A cell ``a`` is paired with a cofacet ``b`` only when every *other*
+facet of ``b`` is assigned before ``a``'s position in the sweep —
+before its pass, or earlier in the same pass.  A V-path step leaves the
+head ``b`` through one of those other facets; if the path continues,
+that facet is the tail of its own pair, made at its own turn, strictly
+before ``a``'s.  The sweep positions of the tails strictly decrease
+along any V-path, so no V-path can revisit a cell and the constructed
 vector field is a discrete *gradient* field.
-
-Implementation notes
---------------------
-The greedy sweep is the compute-stage bottleneck, so the loop body is
-kept free of everything that can be hoisted: the sweep permutation is
-one vectorized lexsort, the sentinel/bookkeeping arrays are bulk-built
-from numpy before the loop, per-cell attributes are plain Python lists
-(several times faster than numpy scalar indexing), and the candidate
-walk uses the complex's memoized per-celltype tables — each cofacet
-offset comes pre-bundled with its direction codes and with the cofacet's
-facet offsets minus the one leading back, so the inner loop performs
-only the unavoidable assignment/signature tests.
 """
 
 from __future__ import annotations
@@ -59,11 +81,19 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["compute_discrete_gradient"]
 
-#: popcount of each possible boundary signature byte (hoisted: built
-#: once at import, not per block)
-_POP_OF_SIG = np.array(
-    [bin(v).count("1") for v in range(256)], dtype=np.uint8
+#: sweep pass of a valid cell by (boundary signature, dimension):
+#: signature popcount 3, 2, 1, 0, then dimension 0..3, as 0..15
+#: (hoisted: built once at import, not per block)
+_PASS_OF = np.array(
+    [[(3 - bin(v).count("1")) * 4 + d for d in range(4)] for v in range(8)],
+    dtype=np.uint8,
 )
+
+#: cofacet slot index, added to the low bits of a candidate's key
+_COFACET = np.arange(6, dtype=np.int64)[:, None]
+
+#: key of a cell with no qualifying cofacet
+_NONE = np.iinfo(np.int64).max
 
 
 def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
@@ -75,82 +105,72 @@ def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
     on data available identically to all blocks sharing that boundary.
     """
     tracer = get_tracer()
-    valid = complex_.valid
-    rank_np = complex_.order_rank
-    sig_np = complex_.boundary_sig
+    tables = complex_.tables
+    sig = complex_.boundary_sig
+    celltype = tables.celltype
 
     with tracer.span("gradient.prepare", cat="kernel"):
-        # Bulk pre-pass: sentinel marking and the assigned flags come
-        # straight from the valid mask — no per-cell Python loop.
-        pairing = np.where(valid, np.uint8(UNASSIGNED), np.uint8(SENTINEL))
-        assigned = bytearray((~valid).view(np.uint8).tobytes())
-
         # Sweep order: signature classes from most constrained to least
         # (popcount 3, 2, 1, 0), then increasing dimension, then SoS
-        # rank.  One vectorized lexsort over all valid cells replaces
-        # per-class masked argsorts, so a worker process spends its time
-        # in the greedy loop below, not in sorting.  The SoS rank is a
-        # total order (global address tie-break), so the permutation —
-        # and hence the constructed field — is exactly the grouped order.
-        valid_cells = np.flatnonzero(valid)
-        neg_pop = -_POP_OF_SIG[sig_np[valid_cells]].astype(np.int8)
-        # np.lexsort: last key is primary
-        perm = np.lexsort(
-            (rank_np[valid_cells], complex_.cell_dim[valid_cells], neg_pop)
-        )
-        sweep = valid_cells[perm].tolist()
+        # rank.  The rank is a dense permutation of the valid cells, so
+        # scattering by rank and one stable sort of the 16 pass ids
+        # (a radix sort on uint8) is the whole order.
+        cells = tables.interior_index
+        n = cells.size
+        by_rank = np.empty(n, dtype=np.intp)
+        by_rank[complex_.order_rank[cells]] = cells
+        pass_of = _PASS_OF[sig[by_rank], tables.cell_dim[by_rank]]
+        perm = np.argsort(pass_of, kind="stable")
+        sweep = by_rank[perm]
+        pass_of = pass_of[perm]
+        bounds = np.flatnonzero(np.diff(pass_of)) + 1
+        starts = np.concatenate(([0], bounds)).tolist()
+        ends = np.concatenate((bounds, [n])).tolist()
+        # tick: sweep position of an unassigned cell, -1 once assigned
+        # (sentinels start assigned)
+        tick = np.full(complex_.num_padded, -1, dtype=np.int64)
+        tick[sweep] = np.arange(n, dtype=np.int64)
+        pairing = np.full(complex_.num_padded, SENTINEL, dtype=np.uint8)
+        pairing[cells] = UNASSIGNED
 
-    sweep_span = tracer.span("gradient.sweep", cat="kernel",
-                             cells=len(sweep))
-    sweep_span.__enter__()
-
-    # Hot loop state as plain Python lists: element access on lists is
-    # several times faster than numpy scalar indexing.
-    pairing = pairing.tolist()
-    celltype = complex_.celltype.tolist()
-    sig = sig_np.tolist()
-    rank = rank_np.tolist()
-
-    # memoized per-celltype candidate tables: for each cofacet offset,
-    # (offset, tail->head code, head->tail code, other facet offsets)
-    candidates = complex_.tables.pair_candidates
-
-    for a in sweep:
-        if assigned[a]:
-            continue
-        sa = sig[a]
-        ta = celltype[a]
-        best = -1
-        best_rank = 0
-        best_fwd = 0
-        best_back = 0
-        for off, fwd, back, others in candidates[ta]:
-            b = a + off
-            # sentinel cells carry signature 255, so they can
-            # never match sa and are skipped without a bounds test
-            if assigned[b] or sig[b] != sa:
+    with tracer.span("gradient.sweep", cat="kernel", cells=n,
+                     passes=len(starts)):
+        for s, e in zip(starts, ends):
+            a = sweep[s:e]
+            ta = tick[a]
+            live = ta >= 0
+            a = a[live]
+            ta = ta[live]
+            d = int(pass_of[s]) & 3
+            if d == 3:
+                pairing[a] = CRITICAL
+                tick[a] = -1
                 continue
-            ok = True
-            for foff in others:
-                if not assigned[b + foff]:
-                    ok = False
-                    break
-            if ok:
-                rb = rank[b]
-                if best < 0 or rb < best_rank:
-                    best = b
-                    best_rank = rb
-                    best_fwd = fwd
-                    best_back = back
-        if best >= 0:
-            pairing[a] = best_fwd
-            pairing[best] = best_back
-            assigned[a] = 1
-            assigned[best] = 1
-        else:
-            pairing[a] = CRITICAL
-            assigned[a] = 1
-    sweep_span.__exit__(None, None, None)
+            # (cofacets, cells) arrays: every candidate head of every
+            # live cell, kept when it is unassigned, has the cell's
+            # signature, and has every other facet assigned before the
+            # cell's turn.  A sentinel head fails the signature test but
+            # its facet offsets can step one cell past the padding, so
+            # those gathers clip.
+            ct = celltype[a]
+            b = a + tables.pair_offsets[d][:, ct]
+            tb = tick[b]
+            ok = (tb >= 0) & (sig[b] == sig[a])
+            for others in tables.pair_others[d]:
+                ok &= tick.take(b + others[:, ct], mode="clip") < ta
+            # The lowest-ranked qualifying head has the lowest tick (all
+            # heads of one cell share one pass); the low bits carry
+            # which cofacet it is.
+            key = np.where(ok, tb * 8 + _COFACET[: len(b)], _NONE)
+            key = key.min(axis=0)
+            paired = key != _NONE
+            key = key[paired]
+            head = sweep[key >> 3]
+            code = tables.pair_codes[d][key & 7, ct[paired]]
+            pairing[a[paired]] = code
+            pairing[head] = code ^ 1
+            pairing[a[~paired]] = CRITICAL
+            tick[a] = -1
+            tick[head] = -1
 
-    field = GradientField(complex_, np.asarray(pairing, dtype=np.uint8))
-    return field
+    return GradientField(complex_, pairing)

@@ -106,7 +106,12 @@ class TestCacheTransparency:
         assert cached.facet_offsets == fresh.facet_offsets
         assert cached.cofacet_offsets == fresh.cofacet_offsets
         assert cached.trace_facets == fresh.trace_facets
-        assert cached.pair_candidates == fresh.pair_candidates
+        for name in ("pair_offsets", "pair_codes", "pair_others"):
+            c, f = getattr(cached, name), getattr(fresh, name)
+            assert len(c) == len(f) == 4
+            for c_d, f_d in zip(c, f):
+                assert c_d.dtype == f_d.dtype
+                assert np.array_equal(c_d, f_d), name
 
     def test_cut_planes_bit_identical_through_cache(self):
         values = _field((5, 5, 5), seed=4)

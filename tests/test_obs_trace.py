@@ -138,6 +138,19 @@ class TestPipelineTrace:
         ):
             assert expected in names, f"missing span {expected}"
 
+    def test_gradient_sweep_span_counts_cells_and_passes(self):
+        result = _traced_result()
+        sweeps = [e for e in result.stats.trace.events
+                  if e.name == "gradient.sweep"]
+        assert len(sweeps) == 8
+        # every block of the 2x2x2 split holds the point where its three
+        # cut planes meet (1 pass: dimension 0), three cut lines (2
+        # passes: dimensions 0-1), three cut-plane faces (3 passes) and
+        # an interior (4 passes)
+        for e in sweeps:
+            assert e.args["cells"] > 0
+            assert e.args["passes"] == 10
+
     def test_every_block_has_a_compute_span(self):
         result = _traced_result()
         blocks = {e.args["block"] for e in result.stats.trace.events
