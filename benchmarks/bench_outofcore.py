@@ -103,7 +103,7 @@ cfg = PipelineConfig(
     persistence_threshold=0.05,
     merge_radices=[2] * rounds,
     options=ExecutionOptions(
-        workers=2, merge_executor="pool", transport="mmap",
+        workers=2, transport="mmap",
         retry_backoff=0.0, merge_spill_budget_bytes=budget,
     ),
 )
@@ -221,12 +221,10 @@ def measure_unlimited_overhead(reps: int = 5) -> dict:
                 num_blocks=blocks,
                 persistence_threshold=PERS,
                 merge_radices=radices,
-                options=ExecutionOptions(
-                    workers=2, merge_executor="pool", retry_backoff=0.0
-                ),
+                options=ExecutionOptions(workers=2, retry_backoff=0.0),
             )
             r = ParallelMSComplexPipeline(cfg).run(field)
-            assert r.stats.merge_executor == "pool"
+            assert r.stats.executor == "process"
             assert r.stats.spool is not None
             assert r.stats.spool["spills"] == 0
             best = min(best, r.stats.merge_wall_seconds)

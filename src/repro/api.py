@@ -68,7 +68,6 @@ def compute(
     metrics: bool = False,
     workers: int = _UNSET,
     transport: str = _UNSET,
-    merge_executor: str = _UNSET,
     kernel_backend: str = _UNSET,
     block_timeout: float | None = _UNSET,
     max_retries: int = _UNSET,
@@ -103,8 +102,8 @@ def compute(
     options:
         The run's execution knobs, grouped: an
         :class:`~repro.core.options.ExecutionOptions` bundling
-        ``workers``, ``executor``, ``merge_executor``, ``transport``,
-        ``kernel_backend`` and the fault-handling settings
+        ``workers``, ``executor``, ``transport``, ``kernel_backend``
+        and the fault-handling settings
         (timeout/retry/degrade).  Every scheduling field is pure
         scheduling — results are bit-identical across all settings; the
         additive ``hierarchy`` flag captures the multiscale cancellation
@@ -123,8 +122,8 @@ def compute(
     metrics:
         Aggregate run metrics (counters / gauges / histograms across
         all workers) into ``result.stats.metrics``.
-    workers, transport, merge_executor, kernel_backend, block_timeout, \
-    max_retries, retry_backoff, degrade_on_failure, hierarchy:
+    workers, transport, kernel_backend, block_timeout, max_retries, \
+    retry_backoff, degrade_on_failure, hierarchy:
         Deprecated flat spellings of the corresponding
         :class:`~repro.core.options.ExecutionOptions` fields; accepted
         with a :class:`DeprecationWarning` for one release.  Passing a
@@ -152,7 +151,6 @@ def compute(
             for name, value in (
                 ("workers", workers),
                 ("transport", transport),
-                ("merge_executor", merge_executor),
                 ("kernel_backend", kernel_backend),
                 ("block_timeout", block_timeout),
                 ("max_retries", max_retries),

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="virtual processes (default: one per block)")
     c.add_argument("--workers", type=_positive_int, default=1,
                    help="shared-memory worker processes for the compute "
-                        "stage (default: 1, serial)")
+                        "stage and the merge rounds (default: 1, serial)")
     c.add_argument("--transport", default="auto",
                    choices=("auto", "pickle", "shm", "mmap"),
                    help="block-data transport to pool workers: pickle "
@@ -165,15 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "inputs, shm exactly when a process pool runs)")
     c.add_argument("--executor", default="auto",
                    choices=("auto", "serial", "process"),
-                   help="compute-stage backend (default: auto — a "
-                        "process pool exactly when --workers > 1)")
-    c.add_argument("--merge-executor", default="auto",
-                   choices=("auto", "serial", "pool"),
-                   help="merge-stage backend: serial merges inside the "
-                        "virtual ranks, pool fans each round's merges "
-                        "over the worker pool (default: auto — pool "
-                        "exactly when the compute stage does; results "
-                        "are bit-identical either way)")
+                   help="backend of the compute stage and the merge "
+                        "rounds (default: auto — a process pool exactly "
+                        "when --workers > 1)")
     c.add_argument("--kernel-backend", default="auto",
                    choices=("auto", "dfs", "pointer"),
                    help="V-path tracing backend: dfs traces each path "
@@ -244,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "for these file inputs)")
     st.add_argument("--executor", default="auto",
                     choices=("auto", "serial", "process"))
-    st.add_argument("--merge-executor", default="auto",
-                    choices=("auto", "serial", "pool"))
     st.add_argument("--kernel-backend", default="auto",
                     choices=("auto", "dfs", "pointer"))
     st.add_argument("--merge-spill-budget", type=_size_bytes,
@@ -408,7 +400,6 @@ def _cmd_compute(args) -> int:
             options=ExecutionOptions(
                 workers=args.workers,
                 executor=args.executor,
-                merge_executor=args.merge_executor,
                 transport=args.transport,
                 kernel_backend=args.kernel_backend,
                 block_timeout=args.block_timeout,
@@ -489,7 +480,6 @@ def _cmd_stream(args) -> int:
             options=ExecutionOptions(
                 workers=args.workers,
                 executor=args.executor,
-                merge_executor=args.merge_executor,
                 transport=args.transport,
                 kernel_backend=args.kernel_backend,
                 max_retries=args.max_retries,

@@ -17,7 +17,6 @@ from typing import Any
 
 from repro.core.options import (
     BACKEND_KNOB_KINDS,
-    MERGE_EXECUTOR_KINDS,
     ExecutionOptions,
     canonical_fingerprint,
     validate_choice,
@@ -27,7 +26,6 @@ from repro.parallel.executor import RetryPolicy
 from repro.parallel.radixk import MergeSchedule, full_merge_radices
 
 __all__ = [
-    "MERGE_EXECUTOR_KINDS",
     "ExecutionOptions",
     "PipelineConfig",
     "MergeSchedule",
@@ -70,22 +68,17 @@ class PipelineConfig:
         cancellation "directly connects important critical points in the
         interiors of neighboring blocks".
     workers:
-        Width of the shared-memory worker pool the compute stage runs
-        on.  ``1`` (default) computes blocks serially in-process; ``>1``
-        fans blocks out over OS processes.  Results are bit-identical
-        either way — the boundary-restricted pairing makes every block
-        independent, so this is purely a scheduling choice.
+        Width of the shared-memory worker pool the compute stage and
+        the merge rounds run on.  ``1`` (default) runs both serially
+        in-process; ``>1`` fans blocks and each round's merges out over
+        OS processes.  Results are bit-identical either way — the
+        boundary-restricted pairing makes every block independent and
+        merging is deterministic, so this is purely a scheduling
+        choice.
     executor:
-        Compute-stage backend: ``"auto"`` (worker pool exactly when
-        ``workers > 1``), ``"serial"``, or ``"process"``.
-    merge_executor:
-        Merge-stage backend.  ``"serial"`` performs each group-root
-        merge inside its virtual rank; ``"pool"`` precomputes each
-        round's independent merges on the worker pool (the driver
-        pre-pass pattern of the compute stage) and the ranks adopt the
-        results; ``"auto"`` (default) pools exactly when the compute
-        stage resolves to a process pool.  Deterministic merging makes
-        the two backends bit-identical, virtual clock included.
+        Backend of the compute stage and of the merge rounds:
+        ``"auto"`` (worker pool exactly when ``workers > 1``),
+        ``"serial"``, or ``"process"``.
     transport:
         How block vertex data reaches compute workers: ``"pickle"``
         ships each block's subarray by value inside its spec;
@@ -131,7 +124,7 @@ class PipelineConfig:
         re-simplification-free multiscale queries
         (:func:`repro.api.query`).  Off by default.
     merge_spill_budget_bytes:
-        Resident-byte budget of the pooled merge stage's packed-blob
+        Resident-byte budget of the merge stage's packed-blob
         spool.  ``None`` (default) never spills — every blob stays in
         driver memory, byte-for-byte the pre-spool pipeline.  A bound
         spills least-recently-used blobs to disk between radix rounds
@@ -174,7 +167,6 @@ class PipelineConfig:
     simplify_at_zero_persistence: bool = True
     workers: int = 1
     executor: str = "auto"
-    merge_executor: str = "auto"
     transport: str = "auto"
     kernel_backend: str = "auto"
     block_timeout: float | None = None
@@ -240,20 +232,6 @@ class PipelineConfig:
         if self.executor == "auto":
             return "process" if self.workers > 1 else "serial"
         return self.executor
-
-    @property
-    def resolved_merge_executor(self) -> str:
-        """Concrete merge-stage backend after resolving ``"auto"``.
-
-        Pooling the merges pays off exactly when a worker pool exists;
-        a serial compute stage keeps the in-rank merge path (which
-        avoids any extra pack/unpack of the root between rounds).
-        """
-        if self.merge_executor == "auto":
-            return (
-                "pool" if self.resolved_executor == "process" else "serial"
-            )
-        return self.merge_executor
 
     @property
     def resolved_transport(self) -> str:

@@ -13,8 +13,8 @@ The three steps of the merge stage:
    nodes, and compacts.
 
 Within one radix-k round the per-root merges are independent, so the
-pipeline can dispatch them to a worker pool: :class:`MergeSpec` is the
-picklable work order (root and member blobs plus round parameters),
+pipeline dispatches them through the run's executor (in-process or a
+worker pool): :class:`MergeSpec` is the picklable work order (root and member blobs plus round parameters),
 :func:`merge_task` the pure worker function, and :class:`MergePayload`
 the result shipped back (merged blob, outcome counters, this merge's
 cancellation records, a CRC for corruption detection).
@@ -22,7 +22,6 @@ cancellation records, a CRC for corruption detection).
 
 from __future__ import annotations
 
-import logging
 import zlib
 
 from contextlib import nullcontext
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.glue import AddressIndex, GlueStats, glue_into
 from repro.io.mscfile import deserialize_payload, serialize_payload
@@ -38,10 +37,8 @@ from repro.io.spool import SpilledBlobRef, blob_bytes
 from repro.morse.msc import Cancellation, MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 from repro.morse.validate import assert_ms_complex_valid
-from repro.obs.trace import Tracer, get_tracer
+from repro.obs.trace import Tracer
 from repro.parallel.executor import CorruptPayloadError, FaultToleranceError
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "MergeOutcome",
@@ -52,7 +49,6 @@ __all__ = [
     "pack_complex",
     "unpack_complex",
     "perform_merge",
-    "merge_with_retries",
     "validate_merge_payload",
 ]
 
@@ -82,8 +78,8 @@ def unpack_complex(blob) -> MorseSmaleComplex:
 
     Accepts packed ``bytes`` or a :class:`repro.io.spool.SpilledBlobRef`
     handle — a spilled blob is materialized from its spool file first,
-    so every consumer of the packed-blob currency (pooled merge
-    workers, retry restores, the write stage) reads through the spool
+    so every consumer of the packed-blob currency (merge workers,
+    merge retries, the write stage) reads through the spool
     transparently.
     """
     return MorseSmaleComplex.from_payload(deserialize_payload(blob_bytes(blob)))
@@ -139,105 +135,9 @@ def perform_merge(
     )
 
 
-def merge_with_retries(
-    root: MorseSmaleComplex,
-    incoming_blobs: list[bytes],
-    remaining_cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    persistence_threshold: float,
-    *,
-    validate: bool = False,
-    max_retries: int = 2,
-    incremental: bool = True,
-    fault_hook: Callable[[int, list[bytes]], list[bytes]] | None = None,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-    root_blob: bytes | SpilledBlobRef | None = None,
-) -> tuple[MorseSmaleComplex, MergeOutcome, int]:
-    """Fault-tolerant :func:`perform_merge`: retry from a pristine snapshot.
-
-    :func:`perform_merge` mutates the root in place, so a crash mid-merge
-    leaves it unusable.  The snapshot needed to recover is taken
-    *lazily*: when the caller already holds the root's packed bytes —
-    or a spilled :class:`~repro.io.spool.SpilledBlobRef` to them — it
-    passes them as ``root_blob`` (free; a ref is only read back from
-    disk if a restore actually happens), otherwise a snapshot is packed
-    up front only when a ``fault_hook`` is installed (chaos runs).  On
-    the no-fault fast path nothing is packed at all — member blobs are
-    unpacked *before* the root is touched, so the only failures that can
-    occur with a pristine root (a corrupted blob that will not unpack)
-    retry without any restore.  When an attempt fails after mutation
-    began, the root is restored from the snapshot (cancellation
-    hierarchy included) and the merge retried with the original,
-    uncorrupted blobs, up to ``max_retries`` times.  A successful retry
-    is therefore bit-identical to a fault-free merge.
-
-    ``fault_hook`` is the chaos-testing injection point (see
-    :meth:`repro.parallel.faults.FaultPlan.merge_hook`): called with
-    ``(attempt, blobs)`` before each attempt, it may raise or return a
-    corrupted blob list.  ``on_retry`` is notified of every failed
-    attempt for stats accounting.  ``incremental`` is forwarded to
-    :func:`perform_merge`.
-
-    Returns ``(root, outcome, retries)`` where ``root`` is the merged
-    complex (a restored copy if any attempt failed) and ``retries`` how
-    many attempts failed before the successful one.  Raises
-    :class:`MergeStageError` with a readable message when the budget is
-    exhausted.
-    """
-    snapshot = root_blob
-    if snapshot is None and fault_hook is not None:
-        snapshot = pack_complex(root)
-    saved_hierarchy = list(root.hierarchy)
-    attempt = 0
-    mutated = False
-    while True:
-        try:
-            blobs = list(incoming_blobs)
-            if fault_hook is not None:
-                blobs = fault_hook(attempt, blobs)
-            incoming = [unpack_complex(b) for b in blobs]
-            mutated = True
-            outcome = perform_merge(
-                root,
-                incoming,
-                remaining_cut_planes,
-                persistence_threshold,
-                validate=validate,
-                incremental=incremental,
-            )
-            return root, outcome, attempt
-        except Exception as exc:
-            unrecoverable = mutated and snapshot is None
-            if attempt >= max_retries or unrecoverable:
-                detail = (
-                    "; root mutated with no snapshot to restore"
-                    if unrecoverable and attempt < max_retries
-                    else ""
-                )
-                raise MergeStageError(
-                    f"merge failed after {attempt + 1} attempt(s){detail}; "
-                    f"last error: {type(exc).__name__}: {exc}"
-                ) from exc
-            logger.warning(
-                "merge attempt %d failed (%s: %s); restoring root "
-                "snapshot and retrying",
-                attempt + 1, type(exc).__name__, exc,
-            )
-            get_tracer().event(
-                "merge.retry", cat="merge",
-                attempt=attempt, error=type(exc).__name__,
-            )
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            if mutated:
-                root = unpack_complex(snapshot)
-                root.hierarchy.extend(saved_hierarchy)
-                mutated = False
-            attempt += 1
-
-
 @dataclass(frozen=True)
 class MergeSpec:
-    """Picklable work order for one pooled group-root merge.
+    """Picklable work order for one group-root merge.
 
     Blob fields hold either packed bytes or picklable
     :class:`~repro.io.spool.SpilledBlobRef` handles; a worker
@@ -264,7 +164,7 @@ class MergeSpec:
 
 @dataclass
 class MergePayload:
-    """Result of one pooled merge, shipped back from a worker."""
+    """Result of one group-root merge, shipped back from a worker."""
 
     round_idx: int
     root_block: int
@@ -284,8 +184,8 @@ class MergePayload:
 def merge_task(spec: MergeSpec) -> MergePayload:
     """Perform one root merge from packed blobs (pure and pickle-safe).
 
-    The deterministic function behind the pooled merge stage: unpack the
-    root and member blobs, :func:`perform_merge`, re-pack.  Because the
+    The deterministic function behind the merge stage: unpack the root
+    and member blobs, :func:`perform_merge`, re-pack.  Because the
     inputs are immutable bytes, an executor-level retry simply reruns
     this function — a fresh unpack *is* the pristine snapshot, so no
     explicit restore path is needed.

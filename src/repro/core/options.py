@@ -36,7 +36,6 @@ from repro.parallel.executor import EXECUTOR_KINDS
 from repro.parallel.transport import TRANSPORT_KINDS
 
 __all__ = [
-    "MERGE_EXECUTOR_KINDS",
     "ExecutionOptions",
     "canonical_fingerprint",
     "validate_choice",
@@ -64,16 +63,10 @@ def canonical_fingerprint(kind: str, payload: dict) -> str:
         ) from None
     return hashlib.sha256(f"{kind}:{body}".encode()).hexdigest()
 
-#: merge-stage backend choices: "serial" runs root merges inside the
-#: virtual ranks, "pool" fans each round's independent merges over the
-#: worker pool, "auto" pools exactly when the compute stage does
-MERGE_EXECUTOR_KINDS = ("auto", "serial", "pool")
-
 #: every backend knob, its allowed values, in one table — the single
 #: source the config/CLI validation and the docs knob tables read
 BACKEND_KNOB_KINDS = {
     "executor": EXECUTOR_KINDS,
-    "merge_executor": MERGE_EXECUTOR_KINDS,
     "transport": TRANSPORT_KINDS,
     "kernel_backend": KERNEL_BACKENDS,
 }
@@ -82,8 +75,8 @@ BACKEND_KNOB_KINDS = {
 def validate_choice(name: str, value: object, kinds: tuple[str, ...]) -> None:
     """Raise the uniform readable error for an invalid knob value.
 
-    All backend knobs (``executor``, ``merge_executor``, ``transport``,
-    ``kernel_backend``) fail with the same shape at configuration time::
+    All backend knobs (``executor``, ``transport``, ``kernel_backend``)
+    fail with the same shape at configuration time::
 
         invalid transport 'smh': choose one of {auto, pickle, shm}
     """
@@ -109,14 +102,13 @@ class ExecutionOptions:
     Parameters
     ----------
     workers:
-        Width of the shared-memory worker pool the compute stage runs
-        on; ``1`` (default) computes blocks serially in-process.
+        Width of the shared-memory worker pool the compute stage and
+        the merge rounds run on; ``1`` (default) runs both serially
+        in-process.
     executor:
-        Compute-stage backend: ``"auto"`` (worker pool exactly when
-        ``workers > 1``), ``"serial"``, or ``"process"``.
-    merge_executor:
-        Merge-stage backend: ``"serial"``, ``"pool"``, or ``"auto"``
-        (pool exactly when the compute stage resolves to a pool).
+        Backend of the compute stage and of the merge rounds:
+        ``"auto"`` (worker pool exactly when ``workers > 1``),
+        ``"serial"``, or ``"process"``.
     transport:
         Block-data transport to pool workers: ``"pickle"``, ``"shm"``,
         ``"mmap"`` (volume-file inputs only; workers subarray-read from
@@ -150,9 +142,8 @@ class ExecutionOptions:
         (:func:`repro.api.query`) with zero re-simplification.  The
         output complex bytes are unchanged; off by default.
     merge_spill_budget_bytes:
-        Resident-byte budget of the merge stage's packed-blob spool
-        (pooled merge only).  ``None`` (default) keeps every blob in
-        driver memory — byte-for-byte the pre-spool pipeline.  A bound
+        Resident-byte budget of the merge stage's packed-blob spool.
+        ``None`` (default) keeps every blob in driver memory.  A bound
         spills least-recently-used blobs to content-addressed files
         under a run-scoped temp directory between radix rounds, keeping
         peak driver RSS roughly flat as block count grows; ``0`` spills
@@ -162,7 +153,6 @@ class ExecutionOptions:
 
     workers: int = 1
     executor: str = "auto"
-    merge_executor: str = "auto"
     transport: str = "auto"
     kernel_backend: str = "auto"
     block_timeout: float | None = None

@@ -15,30 +15,30 @@
     Write MS complex blocks         (§IV-G)
 
 The algorithm is data-parallel: every step is performed by every virtual
-process.  Each rank runs :func:`_rank_main` as a generator program under
-:class:`repro.parallel.runtime.VirtualMPI`; the computation is real (the
-discrete gradient, tracing, simplification and gluing actually run), and
-each rank additionally advances a *virtual clock* priced by the Blue
-Gene/P cost model, from which the benchmark harness reads paper-style
-stage timings.
+process.  The computation is real (the discrete gradient, tracing,
+simplification and gluing actually run), and each rank runs
+:func:`_rank_main` as a generator program under
+:class:`repro.parallel.runtime.VirtualMPI` to advance a *virtual clock*
+priced by the Blue Gene/P cost model, from which the benchmark harness
+reads paper-style stage timings.
 
-The compute stage (the ``for all local blocks`` loop) is factored into a
-pure, pickle-safe worker function, :func:`compute_block`, so it can run
-on a real shared-memory worker pool (see
-:mod:`repro.parallel.executor`): the driver fans all block specs out over
-the configured executor *before* the virtual ranks run, and the rank
-programs consume the resulting per-block payloads — serialized with the
-same :func:`~repro.core.merge.pack_complex` format the merge rounds
-exchange — exactly as if they had computed them locally.  Because the
-boundary-restricted gradient pairing makes every block's result
-independent of all others, the executor choice is pure scheduling:
+Both stages are factored into pure, pickle-safe worker functions —
+:func:`compute_block` for the ``for all local blocks`` loop and
+:func:`~repro.core.merge.merge_task` for one group-root merge — so they
+run on the configured executor (see :mod:`repro.parallel.executor`):
+in-process, or on a real shared-memory worker pool.  The driver fans the
+block specs, then each round's merges, out *before* the virtual ranks
+run, and the rank programs adopt the resulting payloads — serialized
+with :func:`~repro.core.merge.pack_complex` — exactly as if they had
+computed them locally.  Because the boundary-restricted gradient
+pairing makes every block's result independent of all others, and
+merging is deterministic, the executor choice is pure scheduling:
 serial and pooled runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -53,7 +53,6 @@ from repro.core.merge import (
     MergeSpec,
     MergeStageError,
     merge_task,
-    merge_with_retries,
     pack_complex,
     unpack_complex,
     validate_merge_payload,
@@ -114,7 +113,7 @@ logger = logging.getLogger(__name__)
 
 def compute_morse_smale_complex(
     values: np.ndarray | StructuredGrid,
-    *args: Any,
+    *,
     persistence_threshold: float = 0.0,
     simplify: bool = True,
     validate: bool = False,
@@ -125,33 +124,8 @@ def compute_morse_smale_complex(
     The convenience entry point for analysis at laptop scale and the
     reference the parallel computation is validated against.  Returns a
     compacted complex; the cancellation hierarchy remains available in
-    ``msc.hierarchy``.
-
-    ``persistence_threshold``, ``simplify`` and ``validate`` are
-    keyword-only; passing them positionally is deprecated (accepted with
-    a :class:`DeprecationWarning` for one release).
+    ``msc.hierarchy``.  Every option is keyword-only.
     """
-    if args:
-        names = ("persistence_threshold", "simplify", "validate")
-        if len(args) > len(names):
-            raise TypeError(
-                "compute_morse_smale_complex() takes at most "
-                f"{1 + len(names)} positional arguments "
-                f"({1 + len(args)} given)"
-            )
-        warnings.warn(
-            "passing compute_morse_smale_complex() options positionally "
-            "is deprecated; use keyword arguments "
-            "(persistence_threshold=, simplify=, validate=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides = dict(zip(names, args))
-        persistence_threshold = overrides.get(
-            "persistence_threshold", persistence_threshold
-        )
-        simplify = overrides.get("simplify", simplify)
-        validate = overrides.get("validate", validate)
     grid = values if isinstance(values, StructuredGrid) else StructuredGrid(values)
     cx = CubicalComplex(grid.values)
     field = compute_discrete_gradient(cx)
@@ -407,6 +381,22 @@ class _Plan:
     cuts_by_round: list
 
 
+def merge_stage_executor(
+    cfg: PipelineConfig, stats: FaultToleranceStats, tracer: Tracer | None
+) -> FaultTolerantExecutor:
+    """The merge stage's executor: the compute stage's kind and width,
+    with the plan's merge faults and the merge payload validator."""
+    return FaultTolerantExecutor(
+        kind=cfg.resolved_executor,
+        workers=cfg.workers,
+        policy=cfg.retry_policy(),
+        plan=MergeFaultAdapter(cfg.faults) if cfg.faults is not None else None,
+        validator=validate_merge_payload,
+        stats=stats,
+        tracer=tracer,
+    )
+
+
 def build_plan(cfg: PipelineConfig, dims: tuple[int, int, int]) -> _Plan:
     """Plan one run: decompose, schedule the merge, price the machine.
 
@@ -471,23 +461,16 @@ class _RunContext:
     cuts_by_round: list[tuple] = field(default_factory=list)
     #: same-rank member-to-root handoffs, keyed by (rank, round, block)
     local_inbox: dict[tuple[int, int, int], Any] = field(default_factory=dict)
-    #: shared fault-tolerance counters (compute stage + merge retries)
-    ft: FaultToleranceStats = field(default_factory=FaultToleranceStats)
     #: the run's tracer (always enabled: it is the stage stopwatch)
     tracer: Tracer = field(default_factory=Tracer)
-    #: resolved merge-stage backend ("serial" or "pool")
-    merge_mode: str = "serial"
-    #: pooled-merge results precomputed by the driver, keyed
+    #: merge results precomputed by the driver pre-pass, keyed
     #: ``(round_idx, root_block)``
     merge_results: dict[tuple[int, int], MergePayload] = field(
         default_factory=dict
     )
-    #: round-0 inputs were already simplified at the run threshold, so
-    #: the first merge round may re-simplify incrementally
-    presimplified: bool = True
-    #: packed-blob spool of the pooled merge stage (``None`` outside
-    #: pooled mode): ranks fetch blob *handles* from it instead of
-    #: holding bytes, and the write stage materializes through it
+    #: packed-blob spool of the merge stage (``None`` without merge
+    #: rounds): ranks fetch blob *handles* from it instead of holding
+    #: bytes, and the write stage materializes through it
     spool: BlobSpool | None = None
 
 
@@ -500,10 +483,10 @@ class ParallelMSComplexPipeline:
         result = ParallelMSComplexPipeline(cfg).run(field)
         merged = result.merged_complexes[0]
 
-    With ``workers > 1`` the compute stage fans out over a pool of OS
-    processes (see :mod:`repro.parallel.executor`); the merge rounds
-    still run under the deterministic virtual MPI and consume the
-    per-block payloads unchanged.
+    With ``workers > 1`` the compute stage and the merge rounds fan out
+    over a pool of OS processes (see :mod:`repro.parallel.executor`);
+    the virtual ranks then replay both stages' recorded work under the
+    deterministic virtual MPI to price the run.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -595,12 +578,12 @@ class ParallelMSComplexPipeline:
             vertex_bytes = volume.np_dtype.itemsize
 
         registry = MetricsRegistry() if cfg.metrics else None
-        # the pooled merge stage's packed-blob spool: blobs stay in
-        # driver memory under `merge_spill_budget_bytes` and spill
-        # LRU-first to a run-scoped disk dir over it (budget None never
-        # spills and never touches disk — the pre-spool fast path)
+        # the merge stage's packed-blob spool: blobs stay in driver
+        # memory under `merge_spill_budget_bytes` and spill LRU-first
+        # to a run-scoped disk dir over it (budget None never spills
+        # and never touches disk)
         spool: BlobSpool | None = None
-        if cfg.resolved_merge_executor == "pool" and cfg.resolve_radices():
+        if cfg.resolve_radices():
             spool = BlobSpool(
                 budget_bytes=cfg.merge_spill_budget_bytes,
                 tracer=tracer if cfg.trace else None,
@@ -649,13 +632,6 @@ class ParallelMSComplexPipeline:
         num_procs = plan.num_procs
         groups_by_round = plan.groups_by_round
         cuts_by_round = plan.cuts_by_round
-        # the spool participates exactly when the pooled merge pre-pass
-        # will run; otherwise payload blobs flow by value as before
-        if spool is not None and not (
-            cfg.resolved_merge_executor == "pool"
-            and schedule.num_rounds > 0
-        ):
-            spool = None
 
         # ---- compute stage, on the configured executor ----------------
         # wrapped in the fault-tolerance layer: per-block timeouts,
@@ -743,46 +719,41 @@ class ParallelMSComplexPipeline:
                 registry.merge_snapshot(p.metrics)
         payloads = {p.block_id: p for p in payload_list}
 
-        # ---- merge stage pre-pass (pooled backend) --------------------
+        # ---- merge stage pre-pass ---------------------------------------
         # Within a round the per-root merges are independent functions of
-        # packed blobs, so the driver can fan them out over a worker pool
-        # before the virtual ranks run — the same pre-pass pattern as the
-        # compute stage.  The ranks then adopt the precomputed results;
-        # determinism makes them byte-identical to in-rank merging, so
-        # the virtual clock and message accounting are unchanged.
-        merge_mode = cfg.resolved_merge_executor
-        presimplified = (
-            cfg.persistence_threshold > 0 or cfg.simplify_at_zero_persistence
-        )
+        # packed blobs, so the driver runs them on the compute stage's
+        # executor kind before the virtual ranks run — the same pre-pass
+        # pattern as the compute stage.  The ranks then adopt the
+        # precomputed results to price the virtual clock and messages.
         merge_results: dict[tuple[int, int], MergePayload] = {}
-        merge_wall = 0.0
-        if merge_mode == "pool" and schedule.num_rounds > 0:
-            merge_ft = FaultToleranceStats()
-            with tracer.span(
-                "merge.dispatch", cat="merge",
-                rounds=schedule.num_rounds, workers=cfg.workers,
-            ) as merge_dispatch:
-                merge_results = self._pooled_merge_prepass(
+        merge_ft = FaultToleranceStats()
+        with tracer.span(
+            "merge.dispatch", cat="merge",
+            rounds=schedule.num_rounds, executor=cfg.resolved_executor,
+            workers=cfg.workers,
+        ) as merge_dispatch:
+            if schedule.num_rounds > 0:
+                merge_results = self._merge_prepass(
                     cfg, tracer, payloads, groups_by_round, cuts_by_round,
-                    presimplified, merge_ft, session=session, spool=spool,
+                    merge_ft, session=session, spool=spool,
                 )
-            merge_wall = merge_dispatch.duration
-            logger.info(
-                "merge stage done: %d merges over %d rounds in %.3fs on "
-                "pool executor",
-                len(merge_results), schedule.num_rounds, merge_wall,
-            )
-            # fold the merge executor's counters into the run's fault
-            # stats; executor-level retries are merge retries here
-            ft.merge_retries += merge_ft.retries
-            ft.pool_restarts += merge_ft.pool_restarts
-            ft.backoff_seconds += merge_ft.backoff_seconds
-            if merge_ft.degraded:
-                ft.degraded = True
-                ft.degradation_events.extend(merge_ft.degradation_events)
-            if cfg.trace:
-                for mp in merge_results.values():
-                    tracer.absorb(mp.trace_events)
+        logger.info(
+            "merge stage done: %d merges over %d rounds in %.3fs on %s "
+            "executor",
+            len(merge_results), schedule.num_rounds, merge_dispatch.duration,
+            cfg.resolved_executor,
+        )
+        # fold the merge executor's counters into the run's fault stats;
+        # executor-level retries are merge retries here
+        ft.merge_retries += merge_ft.retries
+        ft.pool_restarts += merge_ft.pool_restarts
+        ft.backoff_seconds += merge_ft.backoff_seconds
+        if merge_ft.degraded:
+            ft.degraded = True
+            ft.degradation_events.extend(merge_ft.degradation_events)
+        if cfg.trace:
+            for mp in merge_results.values():
+                tracer.absorb(mp.trace_events)
 
         ctx = _RunContext(
             cfg=cfg,
@@ -793,11 +764,8 @@ class ParallelMSComplexPipeline:
             payloads=payloads,
             groups_by_round=groups_by_round,
             cuts_by_round=cuts_by_round,
-            ft=ft,
             tracer=tracer,
-            merge_mode=merge_mode,
             merge_results=merge_results,
-            presimplified=presimplified,
             spool=spool,
         )
 
@@ -814,8 +782,8 @@ class ParallelMSComplexPipeline:
             message_bytes=sum(m.nbytes for m in mpi.message_log),
             workers=cfg.workers,
             executor=cfg.resolved_executor,
-            merge_executor=merge_mode,
             compute_wall_seconds=dispatch_span.duration,
+            merge_wall_seconds=merge_dispatch.duration,
             faults=ft,
             transport=transport,
         )
@@ -829,11 +797,6 @@ class ParallelMSComplexPipeline:
                 output_blocks[bid] = msc
             output_blobs.update(ret["final_blobs"])
         stats.block_stats.sort(key=lambda b: b.block_id)
-        stats.merge_wall_seconds = (
-            merge_wall
-            if merge_mode == "pool"
-            else sum(ev.real_seconds for ev in stats.merge_events)
-        )
         # the write stage already packed every final complex once; reuse
         # those bytes instead of serializing a second time
         with tracer.span(
@@ -865,29 +828,29 @@ class ParallelMSComplexPipeline:
             hierarchies=hierarchies,
         )
 
-    def _pooled_merge_prepass(
+    def _merge_prepass(
         self,
         cfg: PipelineConfig,
         tracer: Tracer,
         payloads: dict[int, BlockPayload],
         groups_by_round,
         cuts_by_round,
-        presimplified: bool,
         merge_ft: FaultToleranceStats,
         session: Any = None,
         spool: BlobSpool | None = None,
     ) -> dict[tuple[int, int], MergePayload]:
-        """Fan every round's root merges out over a worker pool.
+        """Run every round's root merges on the run's executor kind.
 
         Maintains the current packed blob of every surviving block
         (round 0 starts from the compute payloads' blobs — already the
         ``pack_complex`` format) and dispatches each round's independent
-        :class:`MergeSpec` batch through a fault-tolerant executor; a
-        worker crash retries the merge from the immutable input blobs,
-        and an unhealthy pool degrades to in-process execution, both
-        bit-identical.  Returns the per-merge results for the rank
-        programs to adopt.  A session keeps the merge pool alive across
-        runs; one-shot runs build and close it here.
+        :class:`MergeSpec` batch through a fault-tolerant executor —
+        in-process for ``executor="serial"``, over a worker pool for
+        ``"process"``.  A failed merge retries from the immutable input
+        blobs, and an unhealthy pool degrades to in-process execution,
+        both bit-identical.  Returns the per-merge results for the rank
+        programs to adopt.  A session keeps the merge executor alive
+        across runs; one-shot runs build and close it here.
 
         With a ``spool``, the pre-pass tracks *keys*, not bytes: every
         blob lives in the spool (compute blobs under ``("b", bid)``,
@@ -898,23 +861,18 @@ class ParallelMSComplexPipeline:
         spool as they land, so driver residency stays bounded by the
         spill budget however many blocks or rounds there are.
         """
+        # round-0 inputs were already simplified at the run threshold, so
+        # the first round may re-simplify incrementally
+        presimplified = (
+            cfg.persistence_threshold > 0 or cfg.simplify_at_zero_persistence
+        )
         if session is not None:
-            executor, _reused = session._merge_pool_executor(
+            executor, _reused = session._merge_stage_executor(
                 merge_ft, tracer if cfg.trace else None
             )
         else:
-            executor = FaultTolerantExecutor(
-                kind="process",
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
-                plan=(
-                    MergeFaultAdapter(cfg.faults)
-                    if cfg.faults is not None
-                    else None
-                ),
-                validator=validate_merge_payload,
-                stats=merge_ft,
-                tracer=tracer if cfg.trace else None,
+            executor = merge_stage_executor(
+                cfg, merge_ft, tracer if cfg.trace else None
             )
         results: dict[tuple[int, int], MergePayload] = {}
         if spool is not None:
@@ -1093,13 +1051,11 @@ def _rank_main(comm, ctx: _RunContext):
     # ---- compute stage (§IV-C,D,E) -------------------------------------
     # Payloads were produced by the executor (this rank's blocks, computed
     # by :func:`compute_block` on the configured backend); here the rank
-    # unpacks its own and charges the virtual clock with the makespan of
-    # its blocks over its `workers`-wide pool rather than the serial sum.
-    # In pooled merge mode the merges themselves were also precomputed by
-    # the driver, so the rank stays blob-resident: it ships and adopts
-    # packed bytes and never unpacks a complex until the write stage.
-    pooled_merge = ctx.merge_mode == "pool"
-    complexes: dict[int, MorseSmaleComplex] = {}
+    # charges the virtual clock with the makespan of its blocks over its
+    # `workers`-wide pool rather than the serial sum.  The merges were
+    # precomputed by the driver too, so the rank stays blob-resident: it
+    # ships and adopts packed bytes and never unpacks a complex until
+    # the write stage.
     blobs: dict[int, bytes] = {}
     hierarchies: dict[int, list] = {}
     block_virtual: list[float] = []
@@ -1112,17 +1068,14 @@ def _rank_main(comm, ctx: _RunContext):
         )
         virt = model.compute_time(work)
         block_virtual.append(virt)
-        if pooled_merge:
-            # with a spool the rank holds blob *handles* — resident
-            # bytes or tiny spilled refs — never forced bytes
-            blobs[bid] = (
-                ctx.spool.handle(("b", bid))
-                if ctx.spool is not None
-                else payload.blob
-            )
-            hierarchies[bid] = []
-        else:
-            complexes[bid] = unpack_complex(payload.blob)
+        # with a spool the rank holds blob *handles* — resident bytes or
+        # tiny spilled refs — never forced bytes
+        blobs[bid] = (
+            ctx.spool.handle(("b", bid))
+            if ctx.spool is not None
+            else payload.blob
+        )
+        hierarchies[bid] = []
         block_stats.append(
             BlockComputeStats(
                 block_id=bid,
@@ -1144,19 +1097,14 @@ def _rank_main(comm, ctx: _RunContext):
 
     # ---- merge rounds (§IV-F) -------------------------------------------
     nb = decomp.num_blocks
-    owned = blobs if pooled_merge else complexes
     for round_idx in range(schedule.num_rounds):
         groups = ctx.groups_by_round[round_idx]
         # pass 1: send local member complexes to their group roots
         for root_bid, root_rank, members in groups:
             for mbid, m_rank in members:
-                if m_rank != comm.rank or mbid not in owned:
+                if m_rank != comm.rank or mbid not in blobs:
                     continue  # not ours
-                if pooled_merge:
-                    blob = blobs.pop(mbid)
-                else:
-                    blob = pack_complex(complexes.pop(mbid))
-                message = {"clock": clock, "blob": blob}
+                message = {"clock": clock, "blob": blobs.pop(mbid)}
                 if root_rank == comm.rank:
                     # local move: no message, data already resident
                     ctx.local_inbox[(comm.rank, round_idx, mbid)] = message
@@ -1166,13 +1114,11 @@ def _rank_main(comm, ctx: _RunContext):
                         message,
                         tag=_message_tag(round_idx, mbid, nb),
                     )
-        # pass 2: roots receive and merge
-        cuts_after = ctx.cuts_by_round[round_idx]
+        # pass 2: roots receive and adopt the precomputed merge
         for root_bid, root_rank, members in groups:
-            if root_rank != comm.rank or root_bid not in owned:
+            if root_rank != comm.rank or root_bid not in blobs:
                 continue
             arrivals = [clock]
-            incoming_blobs: list[bytes] = []
             recv_bytes = 0
             for mbid, m_rank in members:
                 if m_rank == comm.rank:
@@ -1190,7 +1136,6 @@ def _rank_main(comm, ctx: _RunContext):
                         message["clock"]
                         + model.message_time(nbytes, m_rank, comm.rank)
                     )
-                incoming_blobs.append(message["blob"])
             wait = max(arrivals) - clock
             clock = max(arrivals)
 
@@ -1200,46 +1145,20 @@ def _rank_main(comm, ctx: _RunContext):
                 round=round_idx, root=root_bid,
                 members=len(members), received_bytes=recv_bytes,
             ) as merge_span:
-                if pooled_merge:
-                    # adopt the result the merge executor precomputed;
-                    # determinism makes it byte-identical to merging here
-                    mp = ctx.merge_results[(round_idx, root_bid)]
-                    blobs[root_bid] = (
-                        ctx.spool.handle(("m", round_idx, root_bid))
-                        if ctx.spool is not None
-                        else mp.blob
-                    )
-                    hierarchies[root_bid].extend(mp.hierarchy)
-                    outcome = mp.outcome
-                    real = mp.real_seconds
-                else:
-                    def _count_merge_retry(attempt, exc, _ft=ctx.ft):
-                        _ft.merge_retries += 1
-
-                    fault_hook = (
-                        cfg.faults.merge_hook(round_idx, root_bid)
-                        if cfg.faults is not None
-                        else None
-                    )
-                    root_msc, outcome, _ = merge_with_retries(
-                        complexes[root_bid],
-                        incoming_blobs,
-                        cuts_after,
-                        cfg.persistence_threshold,
-                        validate=cfg.validate,
-                        max_retries=cfg.max_retries,
-                        incremental=round_idx > 0 or ctx.presimplified,
-                        fault_hook=fault_hook,
-                        on_retry=_count_merge_retry,
-                    )
-                    complexes[root_bid] = root_msc
+                # adopt the result the merge pre-pass computed
+                mp = ctx.merge_results[(round_idx, root_bid)]
+                blobs[root_bid] = (
+                    ctx.spool.handle(("m", round_idx, root_bid))
+                    if ctx.spool is not None
+                    else mp.blob
+                )
+                hierarchies[root_bid].extend(mp.hierarchy)
+                outcome = mp.outcome
                 merge_span.annotate(
                     nodes_glued=outcome.glue.nodes_added,
                     arcs_glued=outcome.glue.arcs_added,
                     cancellations=outcome.cancellations,
                 )
-            if not pooled_merge:
-                real = merge_span.duration
             mwork = MergeWork(
                 glued_elements=(
                     outcome.glue.nodes_added + outcome.glue.arcs_added
@@ -1262,35 +1181,26 @@ def _rank_main(comm, ctx: _RunContext):
                     cancellations=outcome.cancellations,
                     wait_seconds=wait,
                     merge_seconds=mtime,
-                    real_seconds=real,
+                    real_seconds=mp.real_seconds,
                 )
             )
         timeline.after_round.append(clock)
 
     # ---- write MS complex blocks (§IV-G) --------------------------------
-    # pack each surviving complex exactly once: the same bytes price the
-    # virtual write, become the cached output blobs of the result, and
-    # (pooled mode) are already at hand from the merge executor
-    if pooled_merge:
-        # spilled survivors are materialized exactly once, here: the
-        # same bytes price the virtual write, become the result's
-        # cached output blobs, and feed the unpack below
-        if ctx.spool is not None:
-            final_blobs = {
-                bid: ctx.spool.materialize(h) for bid, h in blobs.items()
-            }
-        else:
-            final_blobs = blobs
-        final_blocks: dict[int, MorseSmaleComplex] = {}
-        for bid, blob in final_blobs.items():
-            msc = unpack_complex(blob)
-            msc.hierarchy.extend(hierarchies[bid])
-            final_blocks[bid] = msc
-    else:
-        final_blocks = complexes
+    # spilled survivors are materialized exactly once, here: the same
+    # bytes price the virtual write, become the result's cached output
+    # blobs, and feed the unpack below
+    if ctx.spool is not None:
         final_blobs = {
-            bid: pack_complex(m) for bid, m in complexes.items()
+            bid: ctx.spool.materialize(h) for bid, h in blobs.items()
         }
+    else:
+        final_blobs = blobs
+    final_blocks: dict[int, MorseSmaleComplex] = {}
+    for bid, blob in final_blobs.items():
+        msc = unpack_complex(blob)
+        msc.hierarchy.extend(hierarchies[bid])
+        final_blocks[bid] = msc
     write_bytes = sum(len(b) for b in final_blobs.values())
     timeline.write = model.write_time(write_bytes)
     clock += timeline.write

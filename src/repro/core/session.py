@@ -1,10 +1,10 @@
 """Persistent pipeline sessions: amortize setup across a time series.
 
 A one-shot :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run`
-pays its full setup cost every time: it forks a fresh compute worker
-pool (and, in pooled merge mode, a second pool for the merge pre-pass),
-publishes a new shared-memory segment, decomposes the domain, builds the
-merge schedule, and warms the mesh structure tables — then tears it all
+pays its full setup cost every time: it builds fresh compute and merge
+executors (forking worker pools when ``workers > 1``), publishes a new
+shared-memory segment, decomposes the domain, builds the merge
+schedule, and warms the mesh structure tables — then tears it all
 down.  That is the right shape for a single volume, and exactly the
 wrong shape for the paper's stated in-situ direction (§VII-B, coupling
 with S3D), where the *same* decomposition processes hundreds of
@@ -52,10 +52,10 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.merge import validate_merge_payload
 from repro.core.pipeline import (
     ParallelMSComplexPipeline,
     build_plan,
+    merge_stage_executor,
     validate_block_payload,
 )
 from repro.core.result import PipelineResult
@@ -64,7 +64,6 @@ from repro.io.volume import VolumeSpec, invalidate_map_cache
 from repro.mesh.grid import StructuredGrid
 from repro.obs.trace import Tracer
 from repro.parallel.executor import FaultTolerantExecutor
-from repro.parallel.faults import MergeFaultAdapter
 
 from contextlib import nullcontext
 
@@ -253,24 +252,13 @@ class PipelineSession:
         self.stats.pool_reuse_hits += 1
         return self._compute_exec, True
 
-    def _merge_pool_executor(
+    def _merge_stage_executor(
         self, merge_ft, tracer
     ) -> tuple[FaultTolerantExecutor, bool]:
-        """The persistent merge-stage executor (pooled merge mode)."""
-        cfg = self.config
+        """The persistent merge-stage executor, rebound to this run."""
         if self._merge_exec is None:
-            self._merge_exec = FaultTolerantExecutor(
-                kind="process",
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
-                plan=(
-                    MergeFaultAdapter(cfg.faults)
-                    if cfg.faults is not None
-                    else None
-                ),
-                validator=validate_merge_payload,
-                stats=merge_ft,
-                tracer=tracer,
+            self._merge_exec = merge_stage_executor(
+                self.config, merge_ft, tracer
             )
             return self._merge_exec, False
         self._merge_exec.begin_run(stats=merge_ft, tracer=tracer)

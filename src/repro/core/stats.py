@@ -35,9 +35,8 @@ class FaultToleranceStats:
     """Observability record of the fault-tolerance layer.
 
     Filled in by :class:`repro.parallel.executor.FaultTolerantExecutor`
-    during the compute stage and by the merge-round recovery wrapper
-    (:func:`repro.core.merge.merge_with_retries`).  All zeros on a
-    healthy run.
+    during the compute stage and the merge rounds (the merge executor's
+    retries land in ``merge_retries``).  All zeros on a healthy run.
     """
 
     #: block re-dispatches (compute stage), across all failure kinds
@@ -196,14 +195,13 @@ class PipelineStats:
     real_seconds_total: float = 0.0
     #: shared-memory worker-pool width the compute stage ran on
     workers: int = 1
-    #: concrete compute-stage backend ("serial" or "process")
+    #: concrete backend of the compute and merge stages
+    #: ("serial" or "process")
     executor: str = "serial"
-    #: concrete merge-stage backend ("serial" or "pool")
-    merge_executor: str = "serial"
     #: real wall-clock seconds of the compute stage across all blocks
     compute_wall_seconds: float = 0.0
-    #: real wall-clock seconds of the merge stage (pooled: the driver
-    #: pre-pass dispatch; serial: summed in-rank root-merge times)
+    #: real wall-clock seconds of the merge stage (the driver pre-pass
+    #: dispatch, ``merge.dispatch``)
     merge_wall_seconds: float = 0.0
     #: fault-tolerance observability (retries, timeouts, degradations)
     faults: FaultToleranceStats = field(default_factory=FaultToleranceStats)
@@ -217,7 +215,7 @@ class PipelineStats:
     metrics: dict | None = None
     #: merge-stage blob-spool counters (puts, spills, read-backs,
     #: resident peak — see :class:`repro.io.spool.SpoolStats`) when a
-    #: pooled merge ran; ``None`` otherwise
+    #: the run had merge rounds; ``None`` otherwise
     spool: dict | None = None
 
     # -- virtual stage times (paper-style reporting) ---------------------

@@ -1,6 +1,6 @@
 """Disk-backed blob spool: bounded driver memory for the merge stage.
 
-The pooled merge pre-pass (:mod:`repro.core.pipeline`) is a pipeline of
+The merge pre-pass (:mod:`repro.core.pipeline`) is a pipeline of
 packed MS-complex blobs: every compute payload, every round's merged
 snapshot, and the final write-stage bytes are the same
 :func:`~repro.core.merge.pack_complex` currency.  Holding them all in

@@ -16,13 +16,12 @@ a deterministic virtual equivalent:
   model,
 - :mod:`repro.parallel.executor` — real shared-memory backends
   (:class:`SerialExecutor`, :class:`ProcessPoolBlockExecutor`) that the
-  compute stage fans its per-block work out over,
-- :mod:`repro.parallel.mpibackend` — the mpi4py adapter that runs the
-  *same* rank programs on a real MPI cluster.
+  compute stage and the merge rounds fan their work out over.
 
 The rank programs exercise exactly the communication structure a real
-MPI run would (point-to-point merge-group sends, barriers, gathers); only
-the transport is simulated — or real, with the MPI backend.
+MPI run would (point-to-point merge-group sends, barriers, gathers); the
+transport is simulated, and the ranks replay work the executors already
+computed to price it on the virtual machine.
 """
 
 from repro.parallel.decomposition import BlockDecomposition, decompose

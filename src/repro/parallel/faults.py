@@ -1,10 +1,10 @@
 """Deterministic, seedable fault injection for chaos testing.
 
 The fault-tolerance layer (per-block retries, timeouts, pool restarts,
-degradation — see :class:`repro.parallel.executor.FaultTolerantExecutor`
-and :func:`repro.core.merge.merge_with_retries`) exists for failure
-modes that are, by nature, rare and racy.  This module makes those
-paths exercisable by ordinary pytest runs: a :class:`FaultPlan`
+degradation — see :class:`repro.parallel.executor.FaultTolerantExecutor`,
+which runs both the compute blocks and the merge rounds) exists for
+failure modes that are, by nature, rare and racy.  This module makes
+those paths exercisable by ordinary pytest runs: a :class:`FaultPlan`
 describes *exactly* which (block, attempt) pairs fail and how, so every
 chaos scenario is reproducible bit-for-bit, with no wall-clock or
 scheduling luck involved.
@@ -112,10 +112,10 @@ class MergeFaultSpec:
 
     ``kind`` is ``"crash"`` (raise before the merge computation),
     ``"corrupt"`` (truncate one incoming member blob, so unpacking
-    fails and the root retries from its pristine snapshot), or
+    fails and the merge retries from its immutable input blobs), or
     ``"exit"`` (kill the worker process — only honored when the merge
-    runs on a pooled merge executor; the serial in-rank path ignores
-    it, since it would kill the driver).
+    runs on a worker pool; in-process execution ignores it, since it
+    would kill the driver).
     """
 
     kind: str
@@ -143,10 +143,10 @@ class FaultPlan:
     """A complete, deterministic fault schedule for one pipeline run.
 
     Implements the injection protocol the executor dispatches through
-    (:meth:`run`) plus the merge-round hook factory
-    (:meth:`merge_hook`).  Compose plans with ``+``; build common
-    single-fault plans with the ``crash_on`` / ``hang_on`` /
-    ``corrupt_on`` / ``exit_on`` constructors.
+    (:meth:`run`); :class:`MergeFaultAdapter` routes the plan's
+    ``merge_faults`` to the merge stage.  Compose plans with ``+``;
+    build common single-fault plans with the ``crash_on`` /
+    ``hang_on`` / ``corrupt_on`` / ``exit_on`` constructors.
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -234,7 +234,7 @@ class FaultPlan:
         events: Iterable[tuple[int, int]],
         attempts: tuple[int, ...] = (0,),
     ) -> "FaultPlan":
-        """Kill the pooled merge worker at each ``(round, root)`` event."""
+        """Kill the merge pool worker at each ``(round, root)`` event."""
         return cls(merge_faults=tuple(
             MergeFaultSpec("exit", r, b, attempts) for r, b in events
         ))
@@ -295,64 +295,23 @@ class FaultPlan:
         payload.blob = bytes(blob)
         return payload
 
-    # -- merge-round injection -------------------------------------------
-
-    def merge_hook(
-        self, round_idx: int, root_block: int
-    ) -> Callable[[int, list[bytes]], list[bytes]] | None:
-        """Injection hook for one merge event, or ``None`` if unaffected.
-
-        The returned callable takes ``(attempt, incoming_blobs)`` and
-        either raises :class:`InjectedCrash` or returns the (possibly
-        corrupted) blob list; it is called by
-        :func:`repro.core.merge.merge_with_retries` before each attempt.
-        """
-        matching = [
-            f for f in self.merge_faults
-            if f.round_idx == round_idx and f.root_block == root_block
-        ]
-        if not matching:
-            return None
-
-        def hook(attempt: int, blobs: list[bytes]) -> list[bytes]:
-            for f in matching:
-                if not f.matches(round_idx, root_block, attempt):
-                    continue
-                # "exit" is pool-only; the in-rank path ignores it
-                if f.kind == "crash":
-                    raise InjectedCrash(
-                        f"injected merge crash: round {round_idx} "
-                        f"root {root_block} attempt {attempt}"
-                    )
-                if f.kind == "corrupt" and blobs:
-                    rng = random.Random(
-                        f"{self.seed}:{round_idx}:{root_block}:{attempt}"
-                    )
-                    i = rng.randrange(len(blobs))
-                    blobs = list(blobs)
-                    # truncation guarantees the unpack fails loudly
-                    blobs[i] = blobs[i][: max(1, len(blobs[i]) // 2)]
-            return blobs
-
-        return hook
-
 
 @dataclass(frozen=True)
 class MergeFaultAdapter:
     """Adapts a plan's *merge* faults to the executor's plan protocol.
 
-    The pooled merge stage dispatches
-    :class:`repro.core.merge.MergeSpec` work orders through the same
-    :class:`~repro.parallel.executor.FaultTolerantExecutor` as the
+    The merge stage dispatches :class:`repro.core.merge.MergeSpec` work
+    orders through the same
+    :class:`~repro.parallel.executor.FaultTolerantExecutor` kind as the
     compute stage; this wrapper routes only the plan's
     :class:`MergeFaultSpec` entries to those dispatches (matched by the
     spec's ``(round_idx, root_block)``, never by the compute-stage
     ``block_id`` faults).  Crash and corrupt faults land the same way
-    the serial merge hook injects them — a raised
-    :class:`InjectedCrash`, or one truncated member blob using the same
-    deterministic rng stream — so a scenario behaves identically on
-    either merge backend; ``exit`` kills the pool worker to exercise
-    the broken-pool restart and degrade-to-serial paths.
+    in-process and on a pool — a raised :class:`InjectedCrash`, or one
+    truncated member blob from a deterministic rng stream — so a
+    scenario behaves identically at any worker count; ``exit`` kills
+    the pool worker to exercise the broken-pool restart and
+    degrade-to-serial paths.
     """
 
     plan: FaultPlan

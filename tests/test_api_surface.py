@@ -221,7 +221,6 @@ class TestExecutionOptions:
         opts = repro.ExecutionOptions()
         assert opts.workers == 1
         assert opts.executor == "auto"
-        assert opts.merge_executor == "auto"
         assert opts.transport == "auto"
         assert opts.kernel_backend == "auto"
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
@@ -257,8 +256,7 @@ class TestExecutionOptions:
             repro.PipelineConfig(num_blocks=8, options={"workers": 2})
 
     @pytest.mark.parametrize(
-        "knob", ["executor", "merge_executor", "transport",
-                 "kernel_backend"]
+        "knob", ["executor", "transport", "kernel_backend"]
     )
     def test_choice_knobs_validate_early(self, knob):
         with pytest.raises(ValueError, match="choose one of"):
@@ -306,19 +304,10 @@ class TestExecutionOptions:
 
 
 class TestDeprecationShims:
-    def test_positional_options_warn_but_work(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            legacy = repro.compute_morse_smale_complex(facade_field, 0.05)
-        modern = repro.compute_morse_smale_complex(
-            facade_field, persistence_threshold=0.05
-        )
-        assert legacy.node_counts_by_index() == modern.node_counts_by_index()
-
     def test_too_many_positionals_raise(self, facade_field):
+        """The options are keyword-only: one positional is too many."""
         with pytest.raises(TypeError):
-            repro.compute_morse_smale_complex(
-                facade_field, 0.05, True, False, "extra"
-            )
+            repro.compute_morse_smale_complex(facade_field, 0.05)
 
     def test_keyword_use_does_not_warn(self, facade_field):
         with warnings.catch_warnings():

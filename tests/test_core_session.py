@@ -247,11 +247,11 @@ class TestPooledSession:
             assert session.stats.shm_rebinds == 1
 
     def test_merge_pool_reused_across_steps(self):
-        cfg = config(workers=2, merge_executor="pool")
+        cfg = config(workers=2)
         with PipelineSession(cfg) as session:
             for f in fields(2):
                 result = session.run(f)
-                assert result.stats.merge_executor == "pool"
+                assert result.stats.executor == "process"
             assert session.stats.merge_pool_reuse_hits == 1
 
 

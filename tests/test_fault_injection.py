@@ -170,24 +170,23 @@ class TestMergeFaults:
 
 @pytest.mark.slow
 class TestPooledMergeChaos:
-    """Merge faults on the pooled backend (``merge_executor="pool"``):
-    executor-level retries re-run :func:`repro.core.merge.merge_task`
+    """Merge faults on the worker pool (``workers=2``): executor-level
+    retries re-run :func:`repro.core.merge.merge_task`
     from immutable blobs (a fresh unpack *is* the pristine snapshot), a
     dead worker breaks the pool and the round falls back to serial —
     every outcome bit-identical to the fault-free serial reference."""
 
     def test_pooled_merge_crash_retries_identical(self, field, baseline):
         res = run(field, FaultPlan.merge_crash_on([(0, 2), (1, 4)]),
-                  workers=2, merge_executor="pool")
+                  workers=2)
         assert_identical(res, baseline)
-        assert res.stats.merge_executor == "pool"
+        assert res.stats.executor == "process"
         assert res.stats.faults.merge_retries == 2
 
     def test_pooled_merge_corrupt_blob_retries_identical(
         self, field, baseline
     ):
-        res = run(field, FaultPlan.merge_corrupt_on([(2, 0)]),
-                  workers=2, merge_executor="pool")
+        res = run(field, FaultPlan.merge_corrupt_on([(2, 0)]), workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.merge_retries >= 1
 
@@ -197,8 +196,7 @@ class TestPooledMergeChaos:
         """os._exit in a merge worker breaks the pool; after bounded
         restarts the round degrades to the serial fallback (which
         ignores the pool-only exit fault) and the output is unchanged."""
-        res = run(field, FaultPlan.merge_exit_on([(0, 0)]),
-                  workers=2, merge_executor="pool")
+        res = run(field, FaultPlan.merge_exit_on([(0, 0)]), workers=2)
         assert_identical(res, baseline)
         f = res.stats.faults
         assert f.pool_restarts >= 1
@@ -207,17 +205,16 @@ class TestPooledMergeChaos:
     def test_persistent_pooled_merge_crash_fails_readably(self, field):
         plan = FaultPlan.merge_crash_on([(0, 0)], attempts=(0, 1, 2, 3))
         with pytest.raises(MergeStageError, match=r"attempt"):
-            run(field, plan, workers=2, merge_executor="pool",
-                degrade_on_failure=False)
+            run(field, plan, workers=2, degrade_on_failure=False)
 
     def test_same_plan_identical_on_either_merge_backend(self, field):
-        """One chaos plan, both backends, one answer."""
+        """One chaos plan, one and two workers, one answer."""
         plan = (
             FaultPlan.merge_crash_on([(0, 4)])
             + FaultPlan.merge_corrupt_on([(1, 0)])
         )
-        serial = run(field, plan, merge_executor="serial")
-        pooled = run(field, plan, workers=2, merge_executor="pool")
+        serial = run(field, plan, workers=1)
+        pooled = run(field, plan, workers=2)
         assert_identical(pooled, serial)
 
 

@@ -118,33 +118,55 @@ def test_golden_bytes_pointer_backend_serial(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-def test_golden_bytes_explicit_serial_merge_executor(tmp_path):
+def test_golden_bytes_explicit_serial_executor(tmp_path):
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(merge_executor="serial",
+                           options=ExecutionOptions(executor="serial",
                                                     retry_backoff=0.0))
     out = tmp_path / "serial_merge.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
-    assert result.stats.merge_executor == "serial"
+    assert result.stats.executor == "serial"
+
+
+def test_golden_bytes_one_worker_never_forks(tmp_path, monkeypatch):
+    """At one worker both the compute blocks and the merge rounds run
+    in-process: a process pool that cannot be built changes nothing."""
+    import repro.parallel.executor as executor_mod
+
+    built = []
+
+    def no_pool(*args, **kwargs):
+        built.append(kwargs)
+        raise AssertionError("a one-worker run built a process pool")
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", no_pool)
+    field = np.random.default_rng(42).random((9, 9, 9))
+    result = repro.compute(field, persistence=0.1, ranks=8,
+                           options=ExecutionOptions(workers=1,
+                                                    retry_backoff=0.0))
+    out = tmp_path / "one_worker.msc"
+    result.write(str(out))
+    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert built == []
+    assert result.stats.merge_events  # the merge rounds did run
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("trace", [False, True])
-def test_golden_bytes_pooled_merge_executor(tmp_path, trace):
-    """The pooled merge backend is bit-identical to serial, traced or
-    not — merging is deterministic, so where it runs cannot show in the
-    output bytes."""
+def test_golden_bytes_pooled_executor(tmp_path, trace):
+    """Merge rounds on the worker pool are bit-identical to serial,
+    traced or not — merging is deterministic, so where it runs cannot
+    show in the output bytes."""
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,
                            options=ExecutionOptions(workers=2,
-                                                    merge_executor="pool",
                                                     retry_backoff=0.0),
                            trace=trace)
     out = tmp_path / "pooled_merge.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
-    assert result.stats.merge_executor == "pool"
+    assert result.stats.executor == "process"
 
 
 def test_golden_bytes_mmap_volume_run(tmp_path):

@@ -134,7 +134,8 @@ class TestPipelineTrace:
             "compute.trace", "compute.simplify", "compute.pack",
             "io.read", "gradient.prepare", "gradient.sweep",
             "trace.nodes", "trace.arcs", "simplify.cancel",
-            "merge.stage", "merge.round", "io.serialize_output",
+            "merge.stage", "merge.round", "merge.dispatch",
+            "merge.block", "merge.compute", "io.serialize_output",
         ):
             assert expected in names, f"missing span {expected}"
 

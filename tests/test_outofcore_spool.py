@@ -190,15 +190,14 @@ class TestStaleSweep:
 
 @pytest.mark.slow
 class TestSpilledPipelineGolden:
-    """Tier-1 smoke: a fully spilled pooled-merge run writes bytes
-    identical to the committed golden file."""
+    """Tier-1 smoke: a fully spilled merge stage writes bytes identical
+    to the committed golden file."""
 
     def test_spilled_golden_bit_identity(self, tmp_path):
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(
             field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
+            options=ExecutionOptions(workers=2, retry_backoff=0.0,
                                      merge_spill_budget_bytes=0),
         )
         out = tmp_path / "spilled.msc"
@@ -213,8 +212,7 @@ class TestSpilledPipelineGolden:
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(
             field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
+            options=ExecutionOptions(workers=2, retry_backoff=0.0,
                                      merge_spill_budget_bytes=4096),
         )
         out = tmp_path / "tiny_budget.msc"
@@ -226,21 +224,24 @@ class TestSpilledPipelineGolden:
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(
             field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0),
+            options=ExecutionOptions(workers=2, retry_backoff=0.0),
         )
         assert result.stats.spool is not None
         assert result.stats.spool["spills"] == 0
         assert result.stats.spool["read_backs"] == 0
 
-    def test_serial_merge_has_no_spool(self):
+    def test_serial_merge_spills_bit_identically(self, tmp_path):
+        """At one worker the merge rounds spool exactly like pooled ones."""
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(
             field, persistence=0.1, ranks=8,
             options=ExecutionOptions(retry_backoff=0.0,
                                      merge_spill_budget_bytes=0),
         )
-        assert result.stats.spool is None  # serial merge never spools
+        out = tmp_path / "serial_spilled.msc"
+        result.write(str(out))
+        assert out.read_bytes() == GOLDEN.read_bytes()
+        assert result.stats.spool["spills"] > 0
 
     def test_spool_dir_removed_after_run(self, tmp_path, monkeypatch):
         import tempfile as _tempfile
@@ -249,8 +250,7 @@ class TestSpilledPipelineGolden:
         field = np.random.default_rng(42).random((9, 9, 9))
         repro.compute(
             field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
+            options=ExecutionOptions(workers=2, retry_backoff=0.0,
                                      merge_spill_budget_bytes=0),
         )
         leftovers = [
@@ -269,8 +269,7 @@ class TestSpilledPipelineGolden:
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(
             field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0, max_retries=3,
+            options=ExecutionOptions(workers=2, retry_backoff=0.0, max_retries=3,
                                      merge_spill_budget_bytes=0),
             faults=FaultPlan.corrupt_on([1], seed=7)
             + FaultPlan.merge_corrupt_on([(0, 0)]),

@@ -81,7 +81,6 @@ class TestSpellingIndependence:
         from_cli = ExecutionOptions(
             workers=args.workers,
             executor=args.executor,
-            merge_executor=args.merge_executor,
             transport=args.transport,
             kernel_backend=args.kernel_backend,
             block_timeout=args.block_timeout,
@@ -130,7 +129,7 @@ class TestResultFingerprintScope:
         wide = _facade(
             options=ExecutionOptions(
                 workers=4, executor="process", transport="mmap",
-                merge_executor="pool", kernel_backend="pointer",
+                kernel_backend="pointer",
                 block_timeout=5.0, max_retries=5, retry_backoff=0.2,
                 degrade_on_failure=False, max_pool_restarts=1,
             )
@@ -169,7 +168,6 @@ class TestResultFingerprintScope:
 _KNOBS = {
     "workers": st.integers(1, 4),
     "executor": st.sampled_from(["auto", "serial", "process"]),
-    "merge_executor": st.sampled_from(["auto", "serial", "pool"]),
     "transport": st.sampled_from(["auto", "pickle", "mmap"]),
     "kernel_backend": st.sampled_from(["auto", "dfs", "pointer"]),
     "block_timeout": st.sampled_from([None, 1.0, 30.0]),

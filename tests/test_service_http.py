@@ -143,6 +143,10 @@ def test_error_mapping(service):
         base, "/v1/submit", _submit_body(spec, options={"workers": "zzz"})
     )
     assert status == 400 and "options" in err["error"]
+    status, err = _post(
+        base, "/v1/submit", _submit_body(spec, options={"bogus_knob": 1})
+    )
+    assert status == 400 and "invalid options" in err["error"]
     key = "irrelevant"
     assert _get(base, f"/v1/query?key={key}")[0] == 400
     assert _get(
