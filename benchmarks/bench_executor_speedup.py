@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.merge import pack_complex
+from repro.core.options import ExecutionOptions
 from repro.data.synthetic import sinusoidal_field
 from bench_util import emit_json, emit_table, run_pipeline
 
@@ -45,7 +46,7 @@ def runs():
             field,
             num_blocks=BLOCKS,
             persistence_threshold=THRESHOLD,
-            workers=w,
+            options=ExecutionOptions(workers=w),
         )
     return out
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.query import load_hierarchy, query
-from repro.core.config import PipelineConfig
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.io.mscfile import read_msc_file
 from repro.morse.msc import MorseSmaleComplex
@@ -61,7 +61,7 @@ def build_case(dims, workdir, seed=7):
         num_blocks=1,
         persistence_threshold=0.0,
         simplify_at_zero_persistence=False,
-        hierarchy=True,
+        options=ExecutionOptions(hierarchy=True),
     )
     result = ParallelMSComplexPipeline(cfg).run(field)
     path = Path(workdir) / f"case_{'x'.join(map(str, dims))}.msc"

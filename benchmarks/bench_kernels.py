@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.glue import glue_into
 from repro.core.merge import pack_complex, unpack_complex
+from repro.core.options import ExecutionOptions
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.simplify import simplify_ms_complex
@@ -138,10 +139,8 @@ E2E_CONFIG = dict(
     num_blocks=8,
     persistence_threshold=0.0,
     simplify_at_zero_persistence=False,
-    workers=2,
-    executor="process",
-    retry_backoff=0.0,
 )
+E2E_OPTIONS = dict(workers=2, executor="process", retry_backoff=0.0)
 
 
 def _best_of(fn, reps: int) -> float:
@@ -205,7 +204,11 @@ def measure_compute_wall(transport: str = "shm", reps: int = 5) -> float:
 
     walls = []
     for _ in range(reps):
-        res = run_pipeline(FIELD, transport=transport, **E2E_CONFIG)
+        res = run_pipeline(
+            FIELD,
+            options=ExecutionOptions(transport=transport, **E2E_OPTIONS),
+            **E2E_CONFIG,
+        )
         walls.append(res.stats.compute_wall_seconds)
     return min(walls)
 
@@ -237,6 +240,7 @@ def collect_before_after(
         "field": "gaussian_bumps 24^3, 8 bumps, seed 1, noise 0.005",
         "harness": {
             **E2E_CONFIG,
+            **E2E_OPTIONS,
             "metric": "stats.compute_wall_seconds, min over reps",
             "kernel_reps": kernel_reps,
             "e2e_reps": e2e_reps,

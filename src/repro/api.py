@@ -12,27 +12,27 @@ always returning a :class:`~repro.core.result.PipelineResult`.
 ::
 
     import repro
-    result = repro.compute(field, persistence=0.05, ranks=8, workers=4)
+    result = repro.compute(field, persistence=0.05, ranks=8,
+                           options=repro.ExecutionOptions(workers=4))
     msc = result.merged_complexes[0]
 
 ``ranks`` is the number of virtual MPI processes (= blocks of the
 bisection decomposition, the paper's one-block-per-process setup);
-``workers`` is the width of the real shared-memory worker pool the
-compute stage fans out over (see :mod:`repro.parallel.executor`).  The
-two compose: ranks model the paper's distributed machine, workers use
+``options.workers`` is the width of the real shared-memory worker pool
+the compute stage fans out over (see :mod:`repro.parallel.executor`).
+The two compose: ranks model the paper's distributed machine, workers use
 this machine's cores.  Results are bit-identical across worker counts.
 
-The legacy entry points remain importable; positional-argument use of
-``compute_morse_smale_complex`` and the short ``PipelineConfig`` field
-aliases (``persistence``, ``blocks``, ``procs``) are deprecated and emit
-:class:`DeprecationWarning` for one release (see ``docs/API.md``).
+Every execution knob (workers, transports, backends, fault handling,
+hierarchy capture) is passed grouped, as
+``options=ExecutionOptions(...)`` — the one schema declared in
+:mod:`repro.core.options`; the removed flat spellings are listed in
+``docs/API.md`` ("Removed").
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -50,10 +50,6 @@ __all__ = ["ExecutionOptions", "PipelineSession", "QueryResult",
            "ServiceClient", "compute", "load_hierarchy", "open_service",
            "open_session", "query"]
 
-#: "keyword not passed" marker for the deprecated flat execution
-#: keywords (several have meaningful defaults, including ``None``)
-_UNSET: Any = object()
-
 
 def compute(
     values: np.ndarray | StructuredGrid | VolumeSpec,
@@ -66,14 +62,6 @@ def compute(
     faults: object | None = None,
     trace: bool = False,
     metrics: bool = False,
-    workers: int = _UNSET,
-    transport: str = _UNSET,
-    kernel_backend: str = _UNSET,
-    block_timeout: float | None = _UNSET,
-    max_retries: int = _UNSET,
-    retry_backoff: float = _UNSET,
-    degrade_on_failure: bool = _UNSET,
-    hierarchy: bool = _UNSET,
 ) -> PipelineResult:
     """Compute the Morse-Smale complex of a scalar field.
 
@@ -122,12 +110,6 @@ def compute(
     metrics:
         Aggregate run metrics (counters / gauges / histograms across
         all workers) into ``result.stats.metrics``.
-    workers, transport, kernel_backend, block_timeout, max_retries, \
-    retry_backoff, degrade_on_failure, hierarchy:
-        Deprecated flat spellings of the corresponding
-        :class:`~repro.core.options.ExecutionOptions` fields; accepted
-        with a :class:`DeprecationWarning` for one release.  Passing a
-        knob both flat and via ``options=`` is a :class:`TypeError`.
 
     Returns
     -------
@@ -137,7 +119,6 @@ def compute(
         branches on how the result was produced.
     """
     cfg = _facade_config(
-        "compute",
         persistence=persistence,
         ranks=ranks,
         merge_radix=merge_radix,
@@ -146,20 +127,6 @@ def compute(
         faults=faults,
         trace=trace,
         metrics=metrics,
-        flat={
-            name: value
-            for name, value in (
-                ("workers", workers),
-                ("transport", transport),
-                ("kernel_backend", kernel_backend),
-                ("block_timeout", block_timeout),
-                ("max_retries", max_retries),
-                ("retry_backoff", retry_backoff),
-                ("degrade_on_failure", degrade_on_failure),
-                ("hierarchy", hierarchy),
-            )
-            if value is not _UNSET
-        },
     )
     pipeline = ParallelMSComplexPipeline(cfg)
     if isinstance(values, VolumeSpec):
@@ -180,8 +147,8 @@ def open_session(
 ) -> PipelineSession:
     """Open a persistent :class:`~repro.core.session.PipelineSession`.
 
-    Takes the same keywords as :func:`compute` (minus the input field
-    and the deprecated flat execution keywords) and returns a session
+    Takes the same keywords as :func:`compute` (minus the input field)
+    and returns a session
     whose :meth:`~repro.core.session.PipelineSession.run` processes one
     timestep per call while reusing the worker pools, the shared-memory
     slot, and the cached plan across steps::
@@ -196,7 +163,6 @@ def open_session(
     pools and shared memory.
     """
     cfg = _facade_config(
-        "open_session",
         persistence=persistence,
         ranks=ranks,
         merge_radix=merge_radix,
@@ -205,7 +171,6 @@ def open_session(
         faults=faults,
         trace=trace,
         metrics=metrics,
-        flat={},
     )
     return PipelineSession(cfg)
 
@@ -247,7 +212,6 @@ def open_service(
 
 
 def _facade_config(
-    entry: str,
     *,
     persistence: float,
     ranks: int,
@@ -257,24 +221,8 @@ def _facade_config(
     faults: object | None,
     trace: bool,
     metrics: bool,
-    flat: dict,
 ) -> PipelineConfig:
     """The facade's shared keyword-to-``PipelineConfig`` translation."""
-    if flat:
-        names = ", ".join(sorted(flat))
-        if options is not None:
-            raise TypeError(
-                f"{entry}() got both options= and the flat execution "
-                f"keyword(s) {names}"
-            )
-        warnings.warn(
-            f"the flat execution keyword(s) {names} of repro.{entry}() "
-            "are deprecated; pass options=ExecutionOptions(...) instead "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    opts = options if options is not None else ExecutionOptions(**flat)
     if ranks < 1:
         raise ValueError("ranks must be >= 1")
     if isinstance(merge_radix, (int, np.integer)):
@@ -302,7 +250,7 @@ def _facade_config(
         # ranks == workers == 1 is the serial path: single block, no
         # pool, no merge rounds; anything else runs the full pipeline
         # (the default executor="auto" resolves exactly that way)
-        options=opts,
+        options=options if options is not None else ExecutionOptions(),
         faults=faults,
         trace=trace,
         metrics=metrics,

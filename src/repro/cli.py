@@ -14,8 +14,9 @@ Commands::
     python -m repro.cli info out.msc
     python -m repro.cli query out.msc --persistence 0.01 0.05 0.2
     python -m repro.cli serve --cache-dir ./msc-cache --port 8643
-    python -m repro.cli synth sinusoid --points 64 --features 4 out.raw
+    python -m repro.cli gen sinusoid out.raw --points 64 --features 4
     python -m repro.cli gen sinusoid big.raw --dims 1152 1152 1152
+    python -m repro.cli gen jet jet.raw --points 64
 
 ``query`` serves thresholds out of the hierarchy footer a
 ``compute --hierarchy`` run persisted — every row is a pure lookup, the
@@ -26,19 +27,24 @@ memory, and the decomposition plan are reused across steps, and the
 ``serve`` runs the MS-complex service daemon: concurrent submissions
 over JSON HTTP, identical in-flight requests coalesced into one
 pipeline run, repeats answered from a content-addressed result cache
-(see ``docs/SERVICE.md``).  ``gen`` streams a synthetic volume to disk
-slab-by-slab without ever materializing it, so paper-scale inputs
-(1152³ ≈ 5.7 GiB at float32) can be generated on any machine; pair
-with ``compute --merge-spill-budget`` for a fully out-of-core run.
+(see ``docs/SERVICE.md``).  ``gen`` writes a synthetic volume: the
+elementwise families (sinusoid, bumps) stream to disk slab-by-slab
+without ever materializing the field, so paper-scale inputs (1152³ ≈
+5.7 GiB at float32) can be generated on any machine — pair with
+``compute --merge-spill-budget`` for a fully out-of-core run; the
+dataset proxies (jet, rayleigh-taylor, hydrogen) are built in memory.
+``compute`` and ``stream`` derive their execution flags from
+:class:`repro.core.options.ExecutionOptions`, so both accept every
+knob under the same spelling.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
+import os
 import sys
-
-import numpy as np
 
 __all__ = ["main", "build_parser"]
 
@@ -115,14 +121,86 @@ def _size_bytes(text: str) -> int:
     return value * mult
 
 
-_SPILL_BUDGET_HELP = (
-    "resident-byte budget of the merge stage's packed-blob spool "
-    "(e.g. 64M, 2G, or plain bytes; 0 spills everything).  Over "
-    "budget, merged snapshots spill LRU-first to a run-scoped temp "
-    "dir between radix rounds, keeping driver memory roughly flat "
-    "as block count grows; outputs are bit-identical at any budget "
-    "(default: unbounded, never spills)"
-)
+#: `gen` field families written slab-by-slab (elementwise) and built
+#: whole in memory
+_CHUNKED_KINDS = ("sinusoid", "bumps")
+_IN_MEMORY_KINDS = ("jet", "rayleigh-taylor", "hydrogen")
+
+#: argparse converters of the execution knobs that need more than
+#: their annotation's plain int/float
+_FLAG_TYPES = {
+    "workers": _positive_int,
+    "merge_spill_budget_bytes": _size_bytes,
+}
+
+
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`~repro.core.options.ExecutionOptions` field.
+
+    Derived from the schema, never written by hand: the flag is the
+    field name in kebab case (or the field's ``metadata["flag"]``), the
+    choices of the backend knobs come from ``BACKEND_KNOB_KINDS``, the
+    default is the field default, and the help is the field's
+    ``metadata["help"]``.  A bool field defaulting to ``False`` becomes
+    a switch that sets it; one defaulting to ``True`` a switch that
+    clears it (``--no-degrade``).  Every flag stores into the field's
+    own name, so :func:`_execution_options` is one comprehension.
+    """
+    from repro.core.options import BACKEND_KNOB_KINDS, ExecutionOptions
+
+    for f in dataclasses.fields(ExecutionOptions):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        kwargs = {"dest": f.name, "help": f.metadata["help"]}
+        if f.name in BACKEND_KNOB_KINDS:
+            kwargs.update(default=f.default,
+                          choices=BACKEND_KNOB_KINDS[f.name])
+        elif f.default is True:
+            kwargs.update(action="store_false",
+                          help="turn off: " + f.metadata["help"])
+        elif f.default is False:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.update(
+                default=f.default,
+                type=_FLAG_TYPES.get(
+                    f.name, float if "float" in str(f.type) else int
+                ),
+                metavar=f.metadata.get("metavar"),
+            )
+        parser.add_argument(flag, **kwargs)
+
+
+def _execution_options(args: argparse.Namespace):
+    """The :class:`~repro.core.options.ExecutionOptions` a parsed
+    ``compute`` / ``stream`` command line describes (validated there;
+    a bad value raises :class:`ValueError`)."""
+    from repro.core.options import ExecutionOptions
+
+    return ExecutionOptions(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExecutionOptions)
+    })
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``compute`` and ``stream`` share: the volume layout,
+    the paper's three knobs (blocking, merge schedule, persistence),
+    and every execution knob."""
+    parser.add_argument("--dims", nargs=3, type=int, required=True,
+                        metavar=("NX", "NY", "NZ"))
+    parser.add_argument("--dtype", default="float32",
+                        choices=("uint8", "float32", "float64"))
+    parser.add_argument("--blocks", type=_positive_int, default=1,
+                        help="number of blocks (power of two)")
+    parser.add_argument("--procs", type=_positive_int, default=None,
+                        help="virtual processes (default: one per block)")
+    parser.add_argument("--persistence", type=float, default=0.0,
+                        help="simplification threshold")
+    parser.add_argument("--radices", nargs="*", type=int, default=None,
+                        help="merge radices (default: full merge)")
+    parser.add_argument("--no-merge", action="store_true",
+                        help="skip the merge stage entirely")
+    _add_execution_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,66 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compute", help="compute an MS complex of a volume")
     c.add_argument("volume", help="raw volume file (x fastest)")
-    c.add_argument("--dims", nargs=3, type=int, required=True,
-                   metavar=("NX", "NY", "NZ"))
-    c.add_argument("--dtype", default="float32",
-                   choices=("uint8", "float32", "float64"))
-    c.add_argument("--blocks", type=_positive_int, default=1,
-                   help="number of blocks (power of two)")
-    c.add_argument("--procs", type=_positive_int, default=None,
-                   help="virtual processes (default: one per block)")
-    c.add_argument("--workers", type=_positive_int, default=1,
-                   help="shared-memory worker processes for the compute "
-                        "stage and the merge rounds (default: 1, serial)")
-    c.add_argument("--transport", default="auto",
-                   choices=("auto", "pickle", "shm", "mmap"),
-                   help="block-data transport to pool workers: pickle "
-                        "ships subarrays by value, shm publishes an "
-                        "in-memory volume once into shared memory, mmap "
-                        "(volume-file inputs) lets workers subarray-read "
-                        "straight from disk without the driver ever "
-                        "materializing the volume (auto: mmap for file "
-                        "inputs, shm exactly when a process pool runs)")
-    c.add_argument("--executor", default="auto",
-                   choices=("auto", "serial", "process"),
-                   help="backend of the compute stage and the merge "
-                        "rounds (default: auto — a process pool exactly "
-                        "when --workers > 1)")
-    c.add_argument("--kernel-backend", default="auto",
-                   choices=("auto", "dfs", "pointer"),
-                   help="V-path tracing backend: dfs traces each path "
-                        "depth-first, pointer compresses descents with "
-                        "vectorized pointer jumping (default: auto — "
-                        "pointer exactly when the block is large enough "
-                        "to amortize the whole-array passes; results "
-                        "are bit-identical either way)")
-    c.add_argument("--merge-spill-budget", type=_size_bytes, default=None,
-                   metavar="SIZE", help=_SPILL_BUDGET_HELP)
-    c.add_argument("--persistence", type=float, default=0.0,
-                   help="simplification threshold")
-    c.add_argument("--block-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-block compute timeout (process executor); "
-                        "timed-out blocks are retried")
-    c.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="extra attempts a failed block or merge gets "
-                        "(default: 2)")
-    c.add_argument("--retry-backoff", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="base of the exponential backoff between "
-                        "attempts (default: 0.05)")
-    c.add_argument("--no-degrade", action="store_true",
-                   help="fail instead of degrading to the serial "
-                        "executor when the worker pool is unhealthy")
-    c.add_argument("--hierarchy", action="store_true",
-                   help="capture the cancellation hierarchy of every "
-                        "output block and persist it in the .msc v2 "
-                        "footer, enabling `repro query` threshold "
-                        "lookups with zero re-simplification")
-    c.add_argument("--radices", nargs="*", type=int, default=None,
-                   help="merge radices (default: full merge)")
-    c.add_argument("--no-merge", action="store_true",
-                   help="skip the merge stage entirely")
+    _add_run_flags(c)
     c.add_argument("--output", default=None, help="output .msc file")
     c.add_argument("--trace", default=None, metavar="PATH",
                    help="record a span timeline of the run and write it "
@@ -222,37 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("volumes", nargs="+",
                     help="raw volume files, one per timestep "
                          "(identical dims and dtype)")
-    st.add_argument("--dims", nargs=3, type=int, required=True,
-                    metavar=("NX", "NY", "NZ"))
-    st.add_argument("--dtype", default="float32",
-                    choices=("uint8", "float32", "float64"))
-    st.add_argument("--blocks", type=_positive_int, default=1,
-                    help="number of blocks (power of two)")
-    st.add_argument("--procs", type=_positive_int, default=None,
-                    help="virtual processes (default: one per block)")
-    st.add_argument("--workers", type=_positive_int, default=1,
-                    help="shared-memory worker processes (default: 1)")
-    st.add_argument("--transport", default="auto",
-                    choices=("auto", "pickle", "shm", "mmap"),
-                    help="block-data transport (default: auto — mmap "
-                         "for these file inputs)")
-    st.add_argument("--executor", default="auto",
-                    choices=("auto", "serial", "process"))
-    st.add_argument("--kernel-backend", default="auto",
-                    choices=("auto", "dfs", "pointer"))
-    st.add_argument("--merge-spill-budget", type=_size_bytes,
-                    default=None, metavar="SIZE",
-                    help=_SPILL_BUDGET_HELP)
-    st.add_argument("--persistence", type=float, default=0.0,
-                    help="simplification threshold")
-    st.add_argument("--max-retries", type=int, default=2, metavar="N")
-    st.add_argument("--retry-backoff", type=float, default=0.05,
-                    metavar="SECONDS")
-    st.add_argument("--no-degrade", action="store_true")
-    st.add_argument("--radices", nargs="*", type=int, default=None,
-                    help="merge radices (default: full merge)")
-    st.add_argument("--no-merge", action="store_true",
-                    help="skip the merge stage entirely")
+    _add_run_flags(st)
     st.add_argument("--min-value", type=float, default=None,
                     help="value floor for the significant-extrema "
                          "monitoring series")
@@ -316,27 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run every job on a one-shot pipeline instead "
                          "of persistent per-configuration sessions")
 
-    s = sub.add_parser("synth", help="generate a synthetic volume")
-    s.add_argument("kind", choices=("sinusoid", "bumps", "jet",
-                                    "rayleigh-taylor", "hydrogen"))
-    s.add_argument("output")
-    s.add_argument("--points", type=int, default=64,
-                   help="points per side")
-    s.add_argument("--features", type=int, default=4,
-                   help="features per side (sinusoid) or bump count")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--dtype", default="float32",
-                   choices=("uint8", "float32", "float64"))
-
     g = sub.add_parser(
         "gen",
-        help="stream a synthetic volume to disk slab-by-slab (bounded "
-             "memory at any size; pair with compute "
-             "--merge-spill-budget for a fully out-of-core run)",
+        help="generate a synthetic volume file (sinusoid and bumps "
+             "stream to disk slab-by-slab in bounded memory at any "
+             "size; pair with compute --merge-spill-budget for a fully "
+             "out-of-core run)",
     )
-    g.add_argument("kind", choices=("sinusoid", "bumps"),
-                   help="field family (chunked generation supports the "
-                        "elementwise families; see `synth` for the rest)")
+    g.add_argument("kind", choices=_CHUNKED_KINDS + _IN_MEMORY_KINDS,
+                   help="field family: sinusoid and bumps are "
+                        "elementwise and stream slab-by-slab; jet, "
+                        "rayleigh-taylor and hydrogen (a cube, "
+                        "--points only) are built whole in memory")
     g.add_argument("output")
     g.add_argument("--dims", nargs=3, type=_positive_int, default=None,
                    metavar=("NX", "NY", "NZ"),
@@ -347,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="features per side (sinusoid) or bump count "
                         "(default: 4)")
     g.add_argument("--seed", type=int, default=0,
-                   help="rng seed of the bump placement (bumps only)")
+                   help="rng seed of bumps, jet and rayleigh-taylor")
     g.add_argument("--dtype", default="float32",
                    choices=("uint8", "float32", "float64"))
     g.add_argument("--slab-depth", type=_positive_int, default=16,
                    metavar="DZ",
-                   help="z-planes generated per slab; peak memory is "
-                        "one NX*NY*DZ float64 slab (default: 16)")
+                   help="z-planes generated per slab of sinusoid and "
+                        "bumps; peak memory is one NX*NY*DZ float64 slab "
+                        "(default: 16)")
     return parser
 
 
@@ -363,52 +344,58 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _cmd_compute(args) -> int:
-    import os
-
-    from repro.core.config import ExecutionOptions, PipelineConfig
-    from repro.core.pipeline import ParallelMSComplexPipeline
+def _checked_volume(path: str, args: argparse.Namespace):
+    """The :class:`~repro.io.volume.VolumeSpec` of ``path`` under
+    ``--dims``/``--dtype``; raises :class:`ValueError` (readable) when
+    the file cannot be read or holds a different number of bytes."""
     from repro.io.volume import VolumeSpec
-    from repro.parallel.executor import FaultToleranceError
 
-    spec = VolumeSpec(args.volume, tuple(args.dims), args.dtype)
+    spec = VolumeSpec(path, tuple(args.dims), args.dtype)
     try:
-        size = os.stat(args.volume).st_size
+        size = os.stat(path).st_size
     except OSError as exc:
-        return _fail(
-            f"cannot read volume {args.volume!r}: "
-            f"{exc.strerror or exc}"
-        )
+        raise ValueError(
+            f"cannot read volume {path!r}: {exc.strerror or exc}"
+        ) from None
     if size != spec.nbytes:
-        return _fail(
-            f"volume {args.volume!r} holds {size} bytes but dims "
+        raise ValueError(
+            f"volume {path!r} holds {size} bytes but dims "
             f"{tuple(args.dims)} with dtype {args.dtype} require "
             f"{spec.nbytes}"
         )
+    return spec
+
+
+def _run_config(args: argparse.Namespace, **extra):
+    """The :class:`~repro.core.config.PipelineConfig` of a parsed
+    ``compute`` / ``stream`` command line (``extra`` adds the
+    command's own fields); raises :class:`ValueError` on bad values."""
+    from repro.core.config import PipelineConfig
+
     if args.no_merge:
         radices = "none"
     elif args.radices is None:
         radices = "full"
     else:
         radices = args.radices
+    return PipelineConfig(
+        num_blocks=args.blocks,
+        num_procs=args.procs,
+        persistence_threshold=args.persistence,
+        merge_radices=radices,
+        options=_execution_options(args),
+        **extra,
+    )
+
+
+def _cmd_compute(args) -> int:
+    from repro.core.pipeline import ParallelMSComplexPipeline
+    from repro.parallel.executor import FaultToleranceError
+
     try:
-        cfg = PipelineConfig(
-            num_blocks=args.blocks,
-            num_procs=args.procs,
-            persistence_threshold=args.persistence,
-            merge_radices=radices,
-            options=ExecutionOptions(
-                workers=args.workers,
-                executor=args.executor,
-                transport=args.transport,
-                kernel_backend=args.kernel_backend,
-                block_timeout=args.block_timeout,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                degrade_on_failure=not args.no_degrade,
-                hierarchy=args.hierarchy,
-                merge_spill_budget_bytes=args.merge_spill_budget,
-            ),
+        spec = _checked_volume(args.volume, args)
+        cfg = _run_config(
+            args,
             trace=args.trace is not None,
             metrics=args.metrics is not None,
         )
@@ -440,59 +427,20 @@ def _cmd_compute(args) -> int:
 
 def _cmd_stream(args) -> int:
     import json
-    import os
 
-    from repro.core.config import ExecutionOptions, PipelineConfig
     from repro.core.insitu import InSituAnalyzer
-    from repro.io.volume import VolumeSpec
     from repro.parallel.executor import FaultToleranceError
 
-    specs = []
-    for path in args.volumes:
-        spec = VolumeSpec(path, tuple(args.dims), args.dtype)
-        try:
-            size = os.stat(path).st_size
-        except OSError as exc:
-            return _fail(
-                f"cannot read volume {path!r}: {exc.strerror or exc}"
-            )
-        if size != spec.nbytes:
-            return _fail(
-                f"volume {path!r} holds {size} bytes but dims "
-                f"{tuple(args.dims)} with dtype {args.dtype} require "
-                f"{spec.nbytes}"
-            )
-        specs.append(spec)
-    if args.no_merge:
-        radices = "none"
-    elif args.radices is None:
-        radices = "full"
-    else:
-        radices = args.radices
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
     try:
-        cfg = PipelineConfig(
-            num_blocks=args.blocks,
-            num_procs=args.procs,
-            persistence_threshold=args.persistence,
-            merge_radices=radices,
-            options=ExecutionOptions(
-                workers=args.workers,
-                executor=args.executor,
-                transport=args.transport,
-                kernel_backend=args.kernel_backend,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                degrade_on_failure=not args.no_degrade,
-                merge_spill_budget_bytes=args.merge_spill_budget,
-            ),
-        )
+        specs = [_checked_volume(path, args) for path in args.volumes]
+        cfg = _run_config(args)
         # fail on impossible transport/input combinations before the
         # first step, not midway through the series
-        cfg.resolve_transport("volume")
+        cfg.options.resolve_transport("volume")
     except ValueError as exc:
         return _fail(str(exc))
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
     rows = []
     try:
         with InSituAnalyzer(
@@ -650,60 +598,50 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_gen(args) -> int:
     from repro.data import (
-        gaussian_bumps_field,
         hydrogen_atom,
         jet_mixture_fraction_proxy,
         rayleigh_taylor_proxy,
-        sinusoidal_field,
+        write_volume_chunked,
     )
     from repro.io.volume import write_volume
 
-    n = args.points
-    if args.kind == "sinusoid":
-        field = sinusoidal_field(n, args.features)
-    elif args.kind == "bumps":
-        field = gaussian_bumps_field((n, n, n), args.features,
-                                     seed=args.seed)
-    elif args.kind == "jet":
-        field = jet_mixture_fraction_proxy((n, n + n // 6, (2 * n) // 3),
-                                           seed=args.seed)
-    elif args.kind == "rayleigh-taylor":
-        field = rayleigh_taylor_proxy((n, n, n), seed=args.seed)
-    else:
-        field = hydrogen_atom(n)
-    spec = write_volume(args.output, np.asarray(field), dtype=args.dtype)
-    print(f"wrote {spec.path}: dims={spec.dims} dtype={spec.dtype} "
-          f"({spec.nbytes} bytes)")
-    return 0
-
-
-def _cmd_gen(args) -> int:
-    from repro.data import write_volume_chunked
-
     if (args.dims is None) == (args.points is None):
         return _fail("gen needs exactly one of --dims and --points")
-    kwargs = dict(
-        dtype=args.dtype,
-        slab_depth=args.slab_depth,
-    )
-    if args.dims is not None:
-        kwargs["dims"] = tuple(args.dims)
-    else:
-        kwargs["points_per_side"] = args.points
-    if args.kind == "sinusoid":
-        kwargs["features_per_side"] = args.features
-    else:
-        kwargs["num_bumps"] = args.features
-        kwargs["seed"] = args.seed
+    n = args.points
+    streamed = args.kind in _CHUNKED_KINDS
     try:
-        spec = write_volume_chunked(args.output, args.kind, **kwargs)
+        if streamed:
+            kwargs = dict(dtype=args.dtype, slab_depth=args.slab_depth)
+            if args.dims is not None:
+                kwargs["dims"] = tuple(args.dims)
+            else:
+                kwargs["points_per_side"] = n
+            if args.kind == "sinusoid":
+                kwargs["features_per_side"] = args.features
+            else:
+                kwargs["num_bumps"] = args.features
+                kwargs["seed"] = args.seed
+            spec = write_volume_chunked(args.output, args.kind, **kwargs)
+        else:
+            if args.kind == "hydrogen":
+                if n is None:
+                    return _fail("gen hydrogen is a cube: pass --points")
+                field = hydrogen_atom(n)
+            elif args.kind == "jet":
+                dims = args.dims or (n, n + n // 6, (2 * n) // 3)
+                field = jet_mixture_fraction_proxy(tuple(dims),
+                                                   seed=args.seed)
+            else:
+                dims = args.dims or (n, n, n)
+                field = rayleigh_taylor_proxy(tuple(dims), seed=args.seed)
+            spec = write_volume(args.output, field, dtype=args.dtype)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    how = f", streamed in z-slabs of {args.slab_depth}" if streamed else ""
     print(f"wrote {spec.path}: dims={spec.dims} dtype={spec.dtype} "
-          f"({spec.nbytes} bytes, streamed in z-slabs of "
-          f"{args.slab_depth})")
+          f"({spec.nbytes} bytes{how})")
     return 0
 
 
@@ -717,7 +655,6 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
         "query": _cmd_query,
         "serve": _cmd_serve,
-        "synth": _cmd_synth,
         "gen": _cmd_gen,
     }
     return handlers[args.command](args)

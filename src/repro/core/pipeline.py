@@ -381,15 +381,36 @@ class _Plan:
     cuts_by_round: list
 
 
+def compute_stage_executor(
+    cfg: PipelineConfig,
+    stats: FaultToleranceStats,
+    transport: TransportStats,
+    tracer: Tracer | None,
+) -> FaultTolerantExecutor:
+    """The compute stage's executor: the configured kind, width and
+    retry policy, with the plan's block faults and the block payload
+    validator."""
+    return FaultTolerantExecutor(
+        kind=cfg.options.resolved_executor,
+        workers=cfg.options.workers,
+        policy=cfg.options.retry_policy(),
+        plan=cfg.faults,
+        validator=validate_block_payload,
+        stats=stats,
+        transport=transport,
+        tracer=tracer,
+    )
+
+
 def merge_stage_executor(
     cfg: PipelineConfig, stats: FaultToleranceStats, tracer: Tracer | None
 ) -> FaultTolerantExecutor:
     """The merge stage's executor: the compute stage's kind and width,
     with the plan's merge faults and the merge payload validator."""
     return FaultTolerantExecutor(
-        kind=cfg.resolved_executor,
-        workers=cfg.workers,
-        policy=cfg.retry_policy(),
+        kind=cfg.options.resolved_executor,
+        workers=cfg.options.workers,
+        policy=cfg.options.retry_policy(),
         plan=MergeFaultAdapter(cfg.faults) if cfg.faults is not None else None,
         validator=validate_merge_payload,
         stats=stats,
@@ -529,7 +550,7 @@ class ParallelMSComplexPipeline:
                         cfg.simplify_at_zero_persistence
                     ),
                     validate=cfg.validate,
-                    kernel_backend=cfg.kernel_backend,
+                    kernel_backend=cfg.options.kernel_backend,
                     values=values,
                     volume=volume,
                     shm=shm,
@@ -585,7 +606,7 @@ class ParallelMSComplexPipeline:
         spool: BlobSpool | None = None
         if cfg.resolve_radices():
             spool = BlobSpool(
-                budget_bytes=cfg.merge_spill_budget_bytes,
+                budget_bytes=cfg.options.merge_spill_budget_bytes,
                 tracer=tracer if cfg.trace else None,
             )
         try:
@@ -619,8 +640,9 @@ class ParallelMSComplexPipeline:
         # transport resolution is input-kind aware: impossible combos
         # (shm + volume file, mmap + in-memory field) fail here with a
         # readable error instead of silently falling back mid-pipeline
+        opts = cfg.options
         input_kind = "memory" if grid is not None else "volume"
-        transport_kind = cfg.resolve_transport(input_kind)
+        transport_kind = opts.resolve_transport(input_kind)
 
         with tracer.span("pipeline.plan", cat="pipeline") as plan_span:
             if session is not None:
@@ -648,15 +670,8 @@ class ParallelMSComplexPipeline:
                 pool_reused=pool_reused,
             )
         else:
-            executor = FaultTolerantExecutor(
-                kind=cfg.resolved_executor,
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
-                plan=cfg.faults,
-                validator=validate_block_payload,
-                stats=ft,
-                transport=transport,
-                tracer=tracer if cfg.trace else None,
+            executor = compute_stage_executor(
+                cfg, ft, transport, tracer if cfg.trace else None
             )
         try:
             shm_handle = None
@@ -686,7 +701,7 @@ class ParallelMSComplexPipeline:
                 )
             with tracer.span(
                 "compute.dispatch", cat="compute", blocks=len(specs),
-                executor=cfg.resolved_executor, workers=cfg.workers,
+                executor=opts.resolved_executor, workers=opts.workers,
             ) as dispatch_span:
                 on_compute_result = None
                 if spool is not None:
@@ -707,7 +722,7 @@ class ParallelMSComplexPipeline:
         logger.info(
             "compute stage done: %d blocks in %.3fs on %s executor",
             len(payload_list), dispatch_span.duration,
-            cfg.resolved_executor,
+            opts.resolved_executor,
         )
         # stitch the workers' span buffers into the driver timeline and
         # fold their metrics snapshots into the run registry
@@ -729,8 +744,8 @@ class ParallelMSComplexPipeline:
         merge_ft = FaultToleranceStats()
         with tracer.span(
             "merge.dispatch", cat="merge",
-            rounds=schedule.num_rounds, executor=cfg.resolved_executor,
-            workers=cfg.workers,
+            rounds=schedule.num_rounds, executor=opts.resolved_executor,
+            workers=opts.workers,
         ) as merge_dispatch:
             if schedule.num_rounds > 0:
                 merge_results = self._merge_prepass(
@@ -741,7 +756,7 @@ class ParallelMSComplexPipeline:
             "merge stage done: %d merges over %d rounds in %.3fs on %s "
             "executor",
             len(merge_results), schedule.num_rounds, merge_dispatch.duration,
-            cfg.resolved_executor,
+            opts.resolved_executor,
         )
         # fold the merge executor's counters into the run's fault stats;
         # executor-level retries are merge retries here
@@ -780,8 +795,8 @@ class ParallelMSComplexPipeline:
             num_blocks=cfg.num_blocks,
             radices=[r.radix for r in schedule.rounds],
             message_bytes=sum(m.nbytes for m in mpi.message_log),
-            workers=cfg.workers,
-            executor=cfg.resolved_executor,
+            workers=opts.workers,
+            executor=opts.resolved_executor,
             compute_wall_seconds=dispatch_span.duration,
             merge_wall_seconds=merge_dispatch.duration,
             faults=ft,
@@ -810,7 +825,7 @@ class ParallelMSComplexPipeline:
         # sequence; level 0 of each hierarchy is the block exactly as
         # stored, so any later threshold is a pure lookup
         hierarchies = None
-        if cfg.hierarchy:
+        if opts.hierarchy:
             with tracer.span(
                 "hierarchy.capture", cat="pipeline",
                 blocks=len(output_blocks),
@@ -1092,7 +1107,7 @@ def _rank_main(comm, ctx: _RunContext):
                 transport_nbytes=payload.transport_nbytes,
             )
         )
-    timeline.compute = pool_makespan(block_virtual, cfg.workers)
+    timeline.compute = pool_makespan(block_virtual, cfg.options.workers)
     clock += timeline.compute
 
     # ---- merge rounds (§IV-F) -------------------------------------------

@@ -55,8 +55,8 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
     ParallelMSComplexPipeline,
     build_plan,
+    compute_stage_executor,
     merge_stage_executor,
-    validate_block_payload,
 )
 from repro.core.result import PipelineResult
 from repro.io.spool import maybe_sweep_stale_spool_dirs
@@ -233,17 +233,9 @@ class PipelineSession:
         self, ft_stats, transport, tracer
     ) -> tuple[FaultTolerantExecutor, bool]:
         """The persistent compute executor, rebound to this run's sinks."""
-        cfg = self.config
         if self._compute_exec is None:
-            self._compute_exec = FaultTolerantExecutor(
-                kind=cfg.resolved_executor,
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
-                plan=cfg.faults,
-                validator=validate_block_payload,
-                stats=ft_stats,
-                transport=transport,
-                tracer=tracer,
+            self._compute_exec = compute_stage_executor(
+                self.config, ft_stats, transport, tracer
             )
             return self._compute_exec, False
         self._compute_exec.begin_run(

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Any, Sequence
@@ -90,6 +91,15 @@ class ComputeRequest:
     timeout: float | None = None
     faults: Any = None
 
+    def __post_init__(self) -> None:
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
+            raise ValueError(
+                "timeout must be None or a finite number > 0, got "
+                f"{self.timeout!r}"
+            )
+
     def pipeline_config(self) -> PipelineConfig:
         """The canonical :class:`PipelineConfig` of this request.
 
@@ -103,10 +113,8 @@ class ComputeRequest:
 
         opts = self.options or ExecutionOptions()
         if self.hierarchy and not opts.hierarchy:
-            opts = ExecutionOptions(**{**opts.to_kwargs(),
-                                       "hierarchy": True})
+            opts = replace(opts, hierarchy=True)
         return _facade_config(
-            "service",
             persistence=self.persistence,
             ranks=self.ranks,
             merge_radix=self.merge_radix,
@@ -115,7 +123,6 @@ class ComputeRequest:
             faults=self.faults,
             trace=False,
             metrics=False,
-            flat={},
         )
 
 

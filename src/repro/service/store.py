@@ -300,7 +300,7 @@ class ResultStore:
             num_output_blocks=int(num_output_blocks),
             node_counts=tuple(int(c) for c in node_counts),
             msc_bytes=len(msc_image),
-            hierarchy=config.hierarchy,
+            hierarchy=config.options.hierarchy,
         )
         with get_tracer().span(
             "service.store.put", cat="service", key=key,

@@ -1,11 +1,13 @@
 """Meta tests: public API surface, documentation coverage, and the
-`repro.api` facade contract (routing, round-trips, deprecation shims)."""
+`repro.api` facade contract (routing, round-trips, removed spellings)."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import warnings
 
+import numpy as np
 import pytest
 
 import repro
@@ -224,11 +226,10 @@ class TestExecutionOptions:
         assert opts.transport == "auto"
         assert opts.kernel_backend == "auto"
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
-        assert cfg.execution_options == opts
+        assert cfg.options == opts
+        assert repro.PipelineConfig(num_blocks=8).options == opts
 
     def test_options_is_frozen(self):
-        import dataclasses
-
         opts = repro.ExecutionOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.workers = 4
@@ -238,18 +239,51 @@ class TestExecutionOptions:
                                       kernel_backend="pointer",
                                       retry_backoff=0.0)
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
-        assert cfg.workers == 2
-        assert cfg.transport == "shm"
-        assert cfg.kernel_backend == "pointer"
-        assert cfg.retry_backoff == 0.0
-        assert cfg.execution_options == opts
+        assert cfg.options is opts
+        assert cfg.options.workers == 2
+        assert cfg.options.transport == "shm"
+        assert cfg.options.kernel_backend == "pointer"
+        assert cfg.options.retry_backoff == 0.0
 
     def test_config_rejects_options_plus_flat(self):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.PipelineConfig(
                 num_blocks=8, workers=2,
                 options=repro.ExecutionOptions(workers=2),
             )
+
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("workers", 0), ("workers", 2.5), ("workers", True),
+            ("workers", "2"),
+            ("max_retries", -1), ("max_retries", 1.5),
+            ("max_retries", False),
+            ("max_pool_restarts", -1), ("max_pool_restarts", 1.0),
+            ("merge_spill_budget_bytes", -1),
+            ("merge_spill_budget_bytes", 4096.0),
+            ("merge_spill_budget_bytes", True),
+            ("block_timeout", 0), ("block_timeout", -3),
+            ("block_timeout", float("nan")),
+            ("block_timeout", float("inf")), ("block_timeout", True),
+            ("retry_backoff", -1), ("retry_backoff", float("nan")),
+            ("retry_backoff", float("inf")), ("retry_backoff", None),
+            ("degrade_on_failure", 1), ("hierarchy", "yes"),
+        ],
+    )
+    def test_bad_values_rejected_readably(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            repro.ExecutionOptions(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "persistence", [float("nan"), float("inf"), -0.1]
+    )
+    def test_config_rejects_bad_persistence(self, persistence):
+        with pytest.raises(ValueError, match="persistence_threshold"):
+            repro.PipelineConfig(num_blocks=8,
+                                 persistence_threshold=persistence)
+        with pytest.raises(ValueError, match="persistence_threshold"):
+            repro.compute(np.zeros((4, 4, 4)), persistence=persistence)
 
     def test_config_rejects_non_options_value(self):
         with pytest.raises(TypeError, match="ExecutionOptions"):
@@ -261,28 +295,6 @@ class TestExecutionOptions:
     def test_choice_knobs_validate_early(self, knob):
         with pytest.raises(ValueError, match="choose one of"):
             repro.ExecutionOptions(**{knob: "bogus"})
-        with pytest.raises(ValueError, match="choose one of"):
-            repro.PipelineConfig(num_blocks=8, **{knob: "bogus"})
-
-    def test_compute_both_spellings_bit_identical(self, facade_field):
-        from repro.core.merge import pack_complex
-
-        grouped = repro.compute(
-            facade_field, persistence=0.05, ranks=8,
-            options=repro.ExecutionOptions(retry_backoff=0.0),
-        )
-        with pytest.warns(DeprecationWarning, match="retry_backoff"):
-            flat = repro.compute(
-                facade_field, persistence=0.05, ranks=8,
-                retry_backoff=0.0,
-            )
-        assert pack_complex(grouped.merged_complexes[0]) == pack_complex(
-            flat.merged_complexes[0]
-        )
-
-    def test_compute_flat_keywords_warn(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            repro.compute(facade_field, persistence=0.05, workers=1)
 
     def test_compute_options_spelling_does_not_warn(self, facade_field):
         with warnings.catch_warnings():
@@ -291,7 +303,7 @@ class TestExecutionOptions:
                           options=repro.ExecutionOptions())
 
     def test_compute_rejects_options_plus_flat(self, facade_field):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.compute(
                 facade_field, persistence=0.05, workers=2,
                 options=repro.ExecutionOptions(workers=2),
@@ -299,11 +311,42 @@ class TestExecutionOptions:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims (one-release compatibility)
+# the expired deprecation shims stay removed
 # ---------------------------------------------------------------------------
+
+#: every spelling whose one-release shim has expired, as
+#: (entry point, keyword, value): the flat execution keywords of
+#: repro.compute, the short PipelineConfig aliases, and the flat
+#: PipelineConfig execution fields (one per ExecutionOptions field)
+_REMOVED_SPELLINGS = (
+    [("compute", name, value) for name, value in (
+        ("workers", 1), ("transport", "auto"), ("kernel_backend", "auto"),
+        ("block_timeout", None), ("max_retries", 2),
+        ("retry_backoff", 0.05), ("degrade_on_failure", True),
+        ("hierarchy", False),
+    )]
+    + [("config", alias, value) for alias, value in (
+        ("persistence", 0.25), ("blocks", 8), ("procs", 2),
+    )]
+    + [("config", f.name, f.default)
+       for f in dataclasses.fields(repro.ExecutionOptions)]
+)
 
 
 class TestDeprecationShims:
+    @pytest.mark.parametrize(
+        "entry,name,value", _REMOVED_SPELLINGS,
+        ids=[f"{e}-{n}" for e, n, _ in _REMOVED_SPELLINGS],
+    )
+    def test_removed_spelling_raises_type_error(
+        self, facade_field, entry, name, value
+    ):
+        with pytest.raises(TypeError, match=name):
+            if entry == "compute":
+                repro.compute(facade_field, **{name: value})
+            else:
+                repro.PipelineConfig(num_blocks=8, **{name: value})
+
     def test_too_many_positionals_raise(self, facade_field):
         """The options are keyword-only: one positional is too many."""
         with pytest.raises(TypeError):
@@ -316,24 +359,8 @@ class TestDeprecationShims:
                 facade_field, persistence_threshold=0.05, simplify=True
             )
 
-    @pytest.mark.parametrize(
-        "alias,canonical,value",
-        [
-            ("persistence", "persistence_threshold", 0.25),
-            ("blocks", "num_blocks", 8),
-            ("procs", "num_procs", 2),
-        ],
-    )
-    def test_config_field_aliases_warn_and_map(self, alias, canonical, value):
-        kwargs = {alias: value}
-        if alias != "blocks":
-            kwargs["num_blocks"] = 8
-        with pytest.warns(DeprecationWarning, match=alias):
-            cfg = repro.PipelineConfig(**kwargs)
-        assert getattr(cfg, canonical) == value
-
     def test_alias_conflict_raises(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="blocks"):
             repro.PipelineConfig(num_blocks=8, blocks=8)
 
     def test_canonical_config_does_not_warn(self):
@@ -365,25 +392,21 @@ class TestHierarchyKnob:
         assert set(res.hierarchies) == set(res.output_blocks)
         assert all(h.num_levels >= 0 for h in res.hierarchies.values())
 
-    def test_flat_spelling_warns_and_works(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="hierarchy"):
-            res = repro.compute(facade_field, persistence=0.05,
-                                hierarchy=True)
-        assert res.hierarchies is not None
-
     def test_both_spellings_rejected(self, facade_field):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.compute(
                 facade_field, persistence=0.05, hierarchy=True,
                 options=repro.ExecutionOptions(hierarchy=True),
             )
 
     def test_config_spelling(self, facade_field):
-        cfg = repro.PipelineConfig(num_blocks=1, persistence_threshold=0.05,
-                                   hierarchy=True)
+        cfg = repro.PipelineConfig(
+            num_blocks=1, persistence_threshold=0.05,
+            options=repro.ExecutionOptions(hierarchy=True),
+        )
         res = repro.ParallelMSComplexPipeline(cfg).run(facade_field)
         assert res.hierarchies is not None
-        assert cfg.execution_options.hierarchy is True
+        assert cfg.options.hierarchy is True
 
     def test_knob_is_additive(self, facade_field):
         """hierarchy=True never changes the complex by a byte."""

@@ -1,9 +1,17 @@
 """Tests for repro.cli: the command-line interface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _execution_options, build_parser, main
+from repro.core.options import ExecutionOptions
+from repro.data import (
+    hydrogen_atom,
+    jet_mixture_fraction_proxy,
+    rayleigh_taylor_proxy,
+)
 from repro.io.volume import VolumeSpec, write_volume
 from repro.data.synthetic import gaussian_bumps_field
 
@@ -151,22 +159,24 @@ class TestComputeErrors:
 
 
 class TestSynth:
+    """Synthetic volumes of every family through ``repro gen``."""
+
     @pytest.mark.parametrize(
         "kind", ["sinusoid", "bumps", "jet", "rayleigh-taylor", "hydrogen"]
     )
     def test_synth_kinds(self, kind, tmp_path, capsys):
         out = tmp_path / f"{kind}.raw"
-        rc = main(["synth", kind, str(out), "--points", "12"])
+        rc = main(["gen", kind, str(out), "--points", "12"])
         assert rc == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
 
     def test_synth_then_compute(self, tmp_path, capsys):
         out = tmp_path / "s.raw"
-        main(["synth", "sinusoid", str(out), "--points", "12",
+        main(["gen", "sinusoid", str(out), "--points", "12",
               "--features", "2"])
         msg = capsys.readouterr().out
-        # parse dims back out of the synth report
+        # parse dims back out of the gen report
         dims = msg.split("dims=(")[1].split(")")[0].replace(",", " ").split()
         rc = main([
             "compute", str(out), "--dims", *dims, "--dtype", "float32",
@@ -340,7 +350,7 @@ class TestFaultToleranceFlags:
         assert args.block_timeout is None
         assert args.max_retries == 2
         assert args.retry_backoff == pytest.approx(0.05)
-        assert args.no_degrade is False
+        assert args.degrade_on_failure is True
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
@@ -351,7 +361,7 @@ class TestFaultToleranceFlags:
         assert args.block_timeout == pytest.approx(1.5)
         assert args.max_retries == 4
         assert args.retry_backoff == 0.0
-        assert args.no_degrade is True
+        assert args.degrade_on_failure is False
 
     def test_negative_max_retries_fails_readably(self, volume, capsys):
         rc = main([
@@ -587,6 +597,126 @@ class TestStream:
         assert rc == 2
         err = capsys.readouterr().err
         assert "in-memory input" in err and "mmap" in err
+
+
+    def test_stream_hierarchy_flag_persists_queryable_steps(
+        self, series, tmp_path, capsys
+    ):
+        """``--hierarchy`` (and the other execution flags ``compute``
+        always had) reach every streamed step."""
+        out_dir = tmp_path / "steps"
+        rc = main([
+            "stream", *[s.path for s in series],
+            "--dims", "9", "9", "9", "--dtype", "float64",
+            "--blocks", "8", "--persistence", "0.05",
+            "--retry-backoff", "0.0", "--hierarchy",
+            "--block-timeout", "60", "--max-pool-restarts", "1",
+            "--output-dir", str(out_dir),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        for step in range(2):
+            rc = main(["query", str(out_dir / f"step_{step:04d}.msc"),
+                       "--top-k", "3"])
+            assert rc == 0
+            assert "hierarchy depth" in capsys.readouterr().out
+
+
+#: one non-default command-line spelling per ExecutionOptions field and
+#: the value it must parse into
+_NON_DEFAULT_FLAGS = {
+    "workers": (["--workers", "3"], 3),
+    "executor": (["--executor", "process"], "process"),
+    "transport": (["--transport", "pickle"], "pickle"),
+    "kernel_backend": (["--kernel-backend", "dfs"], "dfs"),
+    "block_timeout": (["--block-timeout", "60"], 60.0),
+    "max_retries": (["--max-retries", "4"], 4),
+    "retry_backoff": (["--retry-backoff", "0"], 0.0),
+    "degrade_on_failure": (["--no-degrade"], False),
+    "max_pool_restarts": (["--max-pool-restarts", "1"], 1),
+    "hierarchy": (["--hierarchy"], True),
+    "merge_spill_budget_bytes": (["--merge-spill-budget", "64K"], 65536),
+}
+
+
+class TestExecutionFlagParity:
+    """``compute`` and ``stream`` accept every execution knob alike."""
+
+    def test_table_covers_every_field(self):
+        assert set(_NON_DEFAULT_FLAGS) == {
+            f.name for f in dataclasses.fields(ExecutionOptions)
+        }
+
+    @pytest.mark.parametrize("command", ["compute", "stream"])
+    @pytest.mark.parametrize("name", sorted(_NON_DEFAULT_FLAGS))
+    def test_flag_parses_into_field(self, command, name):
+        argv, expected = _NON_DEFAULT_FLAGS[name]
+        args = build_parser().parse_args(
+            [command, "v.raw", "--dims", "8", "8", "8", *argv]
+        )
+        opts = _execution_options(args)
+        assert getattr(opts, name) == expected
+        assert getattr(ExecutionOptions(), name) != expected
+        # every other field keeps its default
+        default = getattr(ExecutionOptions(), name)
+        assert dataclasses.replace(opts, **{name: default}) == \
+            ExecutionOptions()
+
+    @pytest.mark.parametrize("command", ["compute", "stream"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max-retries", "-1"], ["--retry-backoff", "nan"],
+         ["--block-timeout", "-3"], ["--max-pool-restarts", "-1"]],
+    )
+    def test_bad_flag_value_exits_2_readably(
+        self, command, argv, volume, capsys
+    ):
+        rc = main([command, volume.path,
+                   "--dims", *map(str, volume.dims), *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[0][2:].replace("-", "_") in err
+
+
+class TestGen:
+    """``gen`` writes exactly what the generators produce."""
+
+    @pytest.mark.parametrize("dtype", ["uint8", "float32", "float64"])
+    @pytest.mark.parametrize(
+        "kind,make",
+        [
+            ("jet", lambda n: jet_mixture_fraction_proxy(
+                (n, n + n // 6, (2 * n) // 3), seed=0)),
+            ("rayleigh-taylor", lambda n: rayleigh_taylor_proxy(
+                (n, n, n), seed=0)),
+            ("hydrogen", hydrogen_atom),
+        ],
+    )
+    def test_in_memory_kinds_match_their_generator(
+        self, kind, make, dtype, tmp_path, capsys
+    ):
+        out, ref = tmp_path / "gen.raw", tmp_path / "ref.raw"
+        rc = main(["gen", kind, str(out), "--points", "12",
+                   "--dtype", dtype])
+        assert rc == 0
+        write_volume(ref, make(12), dtype=dtype)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_hydrogen_needs_points(self, tmp_path, capsys):
+        rc = main(["gen", "hydrogen", str(tmp_path / "h.raw"),
+                   "--dims", "8", "8", "8"])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+
+    def test_jet_accepts_explicit_dims(self, tmp_path, capsys):
+        rc = main(["gen", "jet", str(tmp_path / "j.raw"),
+                   "--dims", "10", "12", "8"])
+        assert rc == 0
+        assert "dims=(10, 12, 8)" in capsys.readouterr().out
+
+    def test_synth_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synth", "sinusoid", "x.raw"])
 
 
 class TestServe:

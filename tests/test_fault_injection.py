@@ -19,7 +19,7 @@ marker.
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import MergeStageError, pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
@@ -40,14 +40,15 @@ def field() -> np.ndarray:
     return gaussian_bumps_field((13, 13, 13), 3, seed=9)
 
 
-def run(field, plan=None, **overrides):
+def run(field, plan=None, **options):
+    """Run the chaos config; ``options`` are ExecutionOptions fields."""
     cfg = PipelineConfig(
         num_blocks=BLOCKS,
         persistence_threshold=0.05,
         max_radix=2,  # three [2, 2, 2] rounds => the 7 MERGE_EVENTS
-        retry_backoff=0.0,  # no wall-clock dependence in chaos tests
+        # no wall-clock dependence in chaos tests
+        options=ExecutionOptions(**{"retry_backoff": 0.0, **options}),
         faults=plan,
-        **overrides,
     )
     return ParallelMSComplexPipeline(cfg).run(field)
 

@@ -11,7 +11,7 @@ and persistence pairs.
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import pack_complex
 from repro.core.pipeline import (
     BlockSpec,
@@ -175,8 +175,7 @@ def _run(field=None, volume=None, *, workers, executor="auto", blocks=8):
     cfg = PipelineConfig(
         num_blocks=blocks,
         persistence_threshold=0.05,
-        workers=workers,
-        executor=executor,
+        options=ExecutionOptions(workers=workers, executor=executor),
     )
     pipe = ParallelMSComplexPipeline(cfg)
     return pipe.run(field) if field is not None else pipe.run(volume=volume)
@@ -240,10 +239,12 @@ class TestSerialPoolIdentity:
         cfg = dict(persistence_threshold=0.05, merge_radices=[2],
                    num_procs=3)
         serial = ParallelMSComplexPipeline(
-            PipelineConfig(num_blocks=8, workers=1, **cfg)
+            PipelineConfig(num_blocks=8, **cfg)
         ).run(field)
         pooled = ParallelMSComplexPipeline(
-            PipelineConfig(num_blocks=8, workers=2, **cfg)
+            PipelineConfig(
+                num_blocks=8, options=ExecutionOptions(workers=2), **cfg
+            )
         ).run(field)
         _identity_checks(serial, pooled)
 
@@ -257,7 +258,8 @@ class TestVirtualClockWithWorkers:
         for w in (1, 2, 8):
             cfg = PipelineConfig(
                 num_blocks=8, num_procs=1, persistence_threshold=0.05,
-                workers=w, executor="serial",  # same schedule, same bits
+                # same schedule, same bits
+                options=ExecutionOptions(workers=w, executor="serial"),
             )
             res = ParallelMSComplexPipeline(cfg).run(field)
             times[w] = res.stats.compute_time

@@ -10,7 +10,7 @@ the unlink, including on error paths.
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.stats import TransportStats
@@ -29,12 +29,12 @@ def field() -> np.ndarray:
     return gaussian_bumps_field((13, 13, 13), 3, seed=9)
 
 
-def run(field, **overrides):
+def run(field, **options):
+    """Run the transport config; ``options`` are ExecutionOptions fields."""
     cfg = PipelineConfig(
         num_blocks=8,
         persistence_threshold=0.05,
-        retry_backoff=0.0,
-        **overrides,
+        options=ExecutionOptions(**{"retry_backoff": 0.0, **options}),
     )
     return ParallelMSComplexPipeline(cfg).run(field)
 
@@ -135,16 +135,16 @@ class TestPipelineTransport:
         assert blobs(pool_shm) == ref
 
     def test_auto_resolution(self):
-        serial = PipelineConfig(num_blocks=8)
-        pooled = PipelineConfig(num_blocks=8, workers=2)
-        assert serial.resolved_transport == "pickle"
-        assert pooled.resolved_transport == "shm"
-        forced = PipelineConfig(num_blocks=8, transport="pickle", workers=2)
-        assert forced.resolved_transport == "pickle"
+        serial = ExecutionOptions()
+        pooled = ExecutionOptions(workers=2)
+        assert serial.resolve_transport() == "pickle"
+        assert pooled.resolve_transport() == "shm"
+        forced = ExecutionOptions(transport="pickle", workers=2)
+        assert forced.resolve_transport() == "pickle"
 
     def test_bad_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):
-            PipelineConfig(num_blocks=8, transport="carrier-pigeon")
+            ExecutionOptions(transport="carrier-pigeon")
 
     def test_serial_transport_accounting(self, field):
         """In-process dispatches ship nothing; the volume is still
@@ -197,7 +197,7 @@ class TestApiAndCli:
     def test_api_transport_keyword(self, field):
         import repro
 
-        ref = blobs(run(field, transport="pickle", merge_radices="full"))
+        ref = blobs(run(field, transport="pickle"))
         res = repro.compute(
             field, persistence=0.05, ranks=8,
             options=repro.ExecutionOptions(transport="shm"),

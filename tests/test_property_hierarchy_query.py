@@ -34,7 +34,7 @@ def _write_unsimplified_with_hierarchy(field, path):
         num_blocks=1,
         persistence_threshold=0.0,
         simplify_at_zero_persistence=False,
-        hierarchy=True,
+        options=repro.ExecutionOptions(hierarchy=True),
     )
     result = repro.ParallelMSComplexPipeline(cfg).run(field)
     result.write(path)

@@ -3,9 +3,9 @@
 Two digests with two jobs:
 
 - :meth:`ExecutionOptions.fingerprint` / :meth:`PipelineConfig.fingerprint`
-  cover *every* knob — equal settings hash equal no matter the spelling
-  (flat keywords, ``options=``, CLI flags, service requests), and any
-  knob change changes the hash;
+  cover *every* knob — equal settings hash equal no matter the front end
+  (``options=``, CLI flags, service requests), and any knob change
+  changes the hash;
 - :meth:`PipelineConfig.result_fingerprint` covers only what determines
   the output bytes — pure-scheduling knobs are deliberately excluded,
   so one cached artifact serves every execution spelling.
@@ -13,13 +13,13 @@ Two digests with two jobs:
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import _facade_config
-from repro.cli import build_parser
+from repro.cli import _execution_options, build_parser
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions, canonical_fingerprint
 from repro.service.scheduler import ComputeRequest
@@ -28,10 +28,10 @@ from repro.service.scheduler import ComputeRequest
 def _facade(**kwargs) -> PipelineConfig:
     base = dict(
         persistence=0.05, ranks=8, merge_radix=2, validate=False,
-        options=None, faults=None, trace=False, metrics=False, flat={},
+        options=None, faults=None, trace=False, metrics=False,
     )
     base.update(kwargs)
-    return _facade_config("test", **base)
+    return _facade_config(**base)
 
 
 class TestCanonicalFingerprint:
@@ -53,42 +53,17 @@ class TestCanonicalFingerprint:
 
 
 class TestSpellingIndependence:
-    """Identical settings, four spellings, one fingerprint."""
-
-    def test_flat_keywords_vs_options_object(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat = _facade(
-                flat={"workers": 2, "transport": "mmap",
-                      "max_retries": 1}
-            )
-        grouped = _facade(
-            options=ExecutionOptions(
-                workers=2, transport="mmap", max_retries=1
-            )
-        )
-        assert flat.fingerprint() == grouped.fingerprint()
-        assert flat.result_fingerprint() == grouped.result_fingerprint()
+    """Identical settings, every front end, one fingerprint."""
 
     def test_cli_flags_hash_like_the_options_object(self):
-        # the exact ExecutionOptions construction of cli._cmd_compute,
-        # from parsed flags — must hash like the library spelling
+        # the CLI's own flags-to-options translation — must hash like
+        # the library spelling
         args = build_parser().parse_args(
             ["compute", "vol.raw", "--dims", "16", "16", "16",
              "--workers", "2", "--transport", "mmap",
              "--max-retries", "1", "--hierarchy"]
         )
-        from_cli = ExecutionOptions(
-            workers=args.workers,
-            executor=args.executor,
-            transport=args.transport,
-            kernel_backend=args.kernel_backend,
-            block_timeout=args.block_timeout,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            degrade_on_failure=not args.no_degrade,
-            hierarchy=args.hierarchy,
-        )
+        from_cli = _execution_options(args)
         from_lib = ExecutionOptions(
             workers=2, transport="mmap", max_retries=1, hierarchy=True
         )
@@ -105,22 +80,6 @@ class TestSpellingIndependence:
         direct = _facade(options=ExecutionOptions(hierarchy=True))
         assert request.pipeline_config().fingerprint() == \
             direct.fingerprint()
-
-    def test_deprecated_compute_keywords_route_identically(self):
-        import numpy as np
-
-        import repro
-
-        field = np.zeros((4, 4, 4))
-        field[1:3, 1:3, 1:3] = 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat = repro.compute(field, workers=1, hierarchy=True)
-        grouped = repro.compute(
-            field, options=ExecutionOptions(workers=1, hierarchy=True)
-        )
-        assert flat.combined_node_counts() == \
-            grouped.combined_node_counts()
 
 
 class TestResultFingerprintScope:
@@ -166,6 +125,7 @@ class TestResultFingerprintScope:
 #: every ExecutionOptions knob with a few valid draws each — compact on
 #: purpose so hypothesis explores combinations, not invalid inputs
 _KNOBS = {
+    "merge_spill_budget_bytes": st.sampled_from([None, 0, 4096]),
     "workers": st.integers(1, 4),
     "executor": st.sampled_from(["auto", "serial", "process"]),
     "transport": st.sampled_from(["auto", "pickle", "mmap"]),
@@ -180,6 +140,11 @@ _KNOBS = {
 
 
 class TestFingerprintProperties:
+    def test_strategy_covers_every_knob(self):
+        assert set(_KNOBS) == {
+            f.name for f in dataclasses.fields(ExecutionOptions)
+        }
+
     @given(kwargs=st.fixed_dictionaries(_KNOBS))
     @settings(max_examples=50, deadline=None)
     def test_equal_options_equal_fingerprint(self, kwargs):
@@ -221,3 +186,48 @@ class TestFingerprintProperties:
         )
         assert varied.result_fingerprint() == \
             reference.result_fingerprint()
+
+
+class TestPinnedDigests:
+    """The full digests of two configs, recorded before the execution
+    knobs moved from flat ``PipelineConfig`` fields into ``options``:
+    ``cache_key`` derives from ``result_fingerprint``, so a change here
+    would turn every existing ``repro serve`` cache dir cold."""
+
+    @pytest.mark.parametrize(
+        "options,digests",
+        [
+            (
+                ExecutionOptions(),
+                (
+                    "090b6c9570dcb9a6ab1951124c2f2296"
+                    "e8a3e076ee80c2cb4c3ff41b6a4a142c",
+                    "c89af5195cad5b06d9ef07206a80642f"
+                    "6e86e139506e0d9951bfbd1107d308ba",
+                    "1a8aa3e474a4f6dae7fea6ef6fa45056"
+                    "4f97072b5ca0328a940d982356265f4a",
+                ),
+            ),
+            (
+                ExecutionOptions(workers=2, hierarchy=True,
+                                 merge_spill_budget_bytes=4096),
+                (
+                    "be0ca8df03e9ae33f0a94cc60fd55a50"
+                    "8b853d6233eb1eecae8f9b8b22337c90",
+                    "46bd8e533824d7d93398babc59308808"
+                    "c7ed25d4ba0039b78925868244d82dc5",
+                    "6294cdb6608a468ab193a334f51dfdf5"
+                    "9c779c70ab1c060651a32f2d50acdefb",
+                ),
+            ),
+        ],
+        ids=["default", "pooled-hierarchy-spill"],
+    )
+    def test_digests_unchanged(self, options, digests):
+        cfg = PipelineConfig(num_blocks=8, num_procs=8,
+                             persistence_threshold=0.05, options=options)
+        assert (
+            cfg.result_fingerprint(),
+            cfg.fingerprint(),
+            cfg.options.fingerprint(),
+        ) == digests

@@ -147,6 +147,26 @@ def test_error_mapping(service):
         base, "/v1/submit", _submit_body(spec, options={"bogus_knob": 1})
     )
     assert status == 400 and "invalid options" in err["error"]
+    # non-finite or out-of-range values are rejected at admission with a
+    # readable 400, never accepted into a job that fails later (or a
+    # dropped connection)
+    nan = float("nan")
+    for bad, field in [
+        ({"persistence": nan}, "persistence_threshold"),
+        ({"persistence": float("inf")}, "persistence_threshold"),
+        ({"timeout": -5}, "timeout"),
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": nan}, "timeout"),
+        ({"options": {"block_timeout": nan}}, "block_timeout"),
+        ({"options": {"retry_backoff": nan}}, "retry_backoff"),
+        ({"options": {"workers": 2.5}}, "workers"),
+        ({"options": {"workers": True}}, "workers"),
+        ({"options": {"max_retries": 1.5}}, "max_retries"),
+        ({"options": {"max_retries": -1}}, "max_retries"),
+        ({"options": {"max_pool_restarts": -1}}, "max_pool_restarts"),
+    ]:
+        status, err = _post(base, "/v1/submit", _submit_body(spec, **bad))
+        assert status == 400 and field in err["error"], (bad, err)
     key = "irrelevant"
     assert _get(base, f"/v1/query?key={key}")[0] == 400
     assert _get(

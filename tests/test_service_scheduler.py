@@ -224,6 +224,16 @@ class TestFailureModes:
         ok = client.submit(volume, persistence=0.1, wait=True)
         assert ok.state == "done"
 
+    @pytest.mark.parametrize(
+        "timeout", [-5, 0, float("nan"), float("inf")]
+    )
+    def test_bad_job_timeout_rejected_at_submit(
+        self, client, volume, timeout
+    ):
+        with pytest.raises(ValueError, match="timeout"):
+            client.submit(volume, persistence=0.05, timeout=timeout)
+        assert client.scheduler.jobs() == []
+
     def test_wait_timeout_raises_builtin_timeout(
         self, client, volume, monkeypatch
     ):
